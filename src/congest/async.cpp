@@ -643,7 +643,9 @@ class AsyncEngine {
       return;
     }
     outcome_.pulses = std::max(outcome_.pulses, sync.pulse + 1);
+    if (timing_) ++outcome_.timers.node_rounds_invoked;
     if (telemetry_ != nullptr) m_pulses_.add();
+    if (outcome_.trace) name_phases(v, sync.pulse);
 
     // Emit this pulse's frames (exactly one per port), with jittered FIFO
     // delivery times; under the reliable transport each frame becomes a
@@ -690,6 +692,20 @@ class AsyncEngine {
       sync.running = false;
       ++halted_count_;
       ++stopped_count_;
+    }
+  }
+
+  /// NodeProgram::phase_of, asked once per pulse, when the first node
+  /// completes it, of the lowest-index node that ran pulse 0 (bootstrap
+  /// runs pulse 0 in index order). The sync engines ask once per round,
+  /// so fault-free traces stay byte-identical across engines.
+  void name_phases(Vertex v, std::uint64_t pulse) {
+    if (pulse == 0 && phase_ref_ == kNoPhaseRef) phase_ref_ = v;
+    if (phase_ref_ == kNoPhaseRef) return;
+    for (; phase_named_ <= pulse; ++phase_named_) {
+      const std::string_view name = programs_[phase_ref_]->phase_of(
+          phase_named_);
+      if (!name.empty()) outcome_.trace.set_phase(phase_named_, name);
     }
   }
 
@@ -940,6 +956,7 @@ class AsyncEngine {
                       "resume replay diverged: node " << v << " halt state");
         nodes_[v]->set_violation_sink(&outcome_.faults.violations);
         if (outcome_.trace) nodes_[v]->set_trace(&outcome_.trace);
+        if (sync.pulse > 0 && phase_ref_ == kNoPhaseRef) phase_ref_ = v;
       }
     }
     for (const EventRecord& record : s.events)
@@ -959,6 +976,7 @@ class AsyncEngine {
     CSD_CHECK_MSG(pending == pending_recoveries_,
                   "snapshot recovery bookkeeping inconsistent");
     outcome_.pulses = s.pulses;
+    phase_named_ = s.pulses;  // earlier pulses belong to the frozen prefix
     outcome_.virtual_time = s.virtual_time;
     outcome_.payload_bits = s.payload_bits;
     outcome_.overhead_bits = s.overhead_bits;
@@ -992,6 +1010,9 @@ class AsyncEngine {
   detail::FrameArena outbox_arena_;
   std::vector<std::vector<std::uint64_t>> link_watermark_;
   std::vector<std::unique_ptr<detail::NodeState>> nodes_;
+  static constexpr Vertex kNoPhaseRef = static_cast<Vertex>(-1);
+  Vertex phase_ref_ = kNoPhaseRef;  // see name_phases
+  std::uint64_t phase_named_ = 0;   // pulses [0, phase_named_) named
   std::vector<std::unique_ptr<NodeProgram>> programs_;
   std::vector<SyncState> sync_;
   std::vector<std::vector<LinkSender>> senders_;      // reliable mode only

@@ -67,4 +67,38 @@ class FrameArena {
   std::vector<std::uint8_t> present_;
 };
 
+/// The inbox slots one delivery filled, so that the next delivery clears
+/// only those: a quiet round costs O(frames), not O(E). Past `cap` slots the
+/// list stops growing and reset() falls back to the caller's full clear,
+/// so a dense round costs one memset and the list never holds more than
+/// cap indices.
+class FilledSlots {
+ public:
+  explicit FilledSlots(std::size_t cap = 0) : cap_(cap) {}
+
+  void add(std::uint64_t slot) {
+    if (slots_.size() < cap_)
+      slots_.push_back(slot);
+    else
+      overflow_ = true;
+  }
+
+  /// Mark every recorded slot of `arena` absent (or call `clear_all` if
+  /// the list overflowed), then start a new round.
+  template <typename ClearAll>
+  void reset(FrameArena& arena, ClearAll&& clear_all) {
+    if (overflow_)
+      clear_all();
+    else
+      for (const std::uint64_t slot : slots_) arena.present(slot) = 0;
+    slots_.clear();
+    overflow_ = false;
+  }
+
+ private:
+  std::size_t cap_;
+  std::vector<std::uint64_t> slots_;
+  bool overflow_ = false;
+};
+
 }  // namespace csd::congest::detail

@@ -5,6 +5,7 @@
 #include <unordered_map>
 #include <utility>
 
+#include "congest/active_set.hpp"
 #include "congest/node_state.hpp"
 #include "congest/run_batch.hpp"
 #include "congest/shard.hpp"
@@ -131,7 +132,6 @@ RunOutcome Network::run_impl(const ProgramFactory& factory,
     nodes.back()->attach_frames(
         inbox_arena.payload_row(v), inbox_arena.present_row(v),
         outbox_arena.payload_row(v), outbox_arena.present_row(v));
-    if (outcome.trace) nodes.back()->set_trace(&outcome.trace);
     programs.push_back(factory(v));
     CSD_CHECK_MSG(programs.back() != nullptr, "factory returned null program");
   }
@@ -144,7 +144,8 @@ RunOutcome Network::run_impl(const ProgramFactory& factory,
   // lock-free per round. Everything below is write-only — the engine never
   // reads the plane back, so the run is bit-identical with or without it.
   obs::Telemetry* const telemetry = config_.telemetry;
-  obs::Counter m_rounds, m_messages, m_bits, m_drops, m_corrupts, m_crashes;
+  obs::Counter m_rounds, m_messages, m_bits, m_drops, m_corrupts, m_crashes,
+      m_invocations;
   obs::Gauge m_arena, m_arena_capacity;
   obs::Histogram m_round_bits;
   if (telemetry != nullptr) {
@@ -154,15 +155,20 @@ RunOutcome Network::run_impl(const ProgramFactory& factory,
     m_drops = telemetry->counter("sync_frames_dropped");
     m_corrupts = telemetry->counter("sync_frames_corrupted");
     m_crashes = telemetry->counter("sync_node_crashes");
+    m_invocations = telemetry->counter("sync_node_invocations");
     m_arena = telemetry->gauge("sync_arena_frames");
     m_arena_capacity = telemetry->gauge("sync_arena_capacity");
     m_arena_capacity.set(inbox_arena.size());
     m_round_bits = telemetry->histogram("sync_round_bits");
   }
 
-  std::vector<bool> crashed(n, false);
+  // Nodes neither halted nor crashed; the run ends in the first round in
+  // which none is left to run.
+  std::vector<std::uint8_t> crashed(n, 0);
+  Vertex live = n;
   const auto crash = [&](Vertex v, std::uint64_t at) {
-    crashed[v] = true;
+    crashed[v] = 1;
+    --live;
     nodes[v]->discard_outbox();
     outcome.faults.crashed_nodes.push_back(v);
     if (telemetry != nullptr) {
@@ -170,6 +176,23 @@ RunOutcome Network::run_impl(const ProgramFactory& factory,
       telemetry->record(obs::EventKind::NodeCrash, v, at);
     }
   };
+
+  // Active-set scheduling (active_set.hpp): only nodes due this round run,
+  // and a delivered frame makes its receiver due next round. Inbox slots
+  // filled by one delivery are the only ones the next delivery clears.
+  detail::ActiveSet active(n, 1, nullptr);
+  detail::FilledSlots filled(inbox_arena.size() / 16);
+  std::uint64_t arena_frames = 0;
+  const auto land = [&](Vertex dst, std::uint64_t slot, BitVec& payload) {
+    std::swap(inbox_arena.payload(slot), payload);
+    inbox_arena.present(slot) = 1;
+    filled.add(slot);
+    ++arena_frames;
+    active.wake(0, dst);
+  };
+  // NodeProgram::phase_of is asked of the lowest-index node that ran
+  // round 0 (n = none yet).
+  Vertex phase_ref = n;
 
   // Inbox logging feeds checkpoint capture: every payload delivered (post-
   // corruption, exactly what the program will see) is copied into a per-node
@@ -227,69 +250,30 @@ RunOutcome Network::run_impl(const ProgramFactory& factory,
     outcome.faults = snap.faults;
     if (faulty) injector->restore_streams(snap.fault_streams);
 
-    // Rebuild program state by replaying the logged inboxes through the
-    // fresh programs: same guards as the live loop, but zero accounting, no
-    // trace, and violations routed to a scratch sink (the restored
-    // FaultReport already carries everything from rounds < start_round).
-    std::vector<ProtocolViolation> replay_violations;
+    // Rebuild program state by replaying the logged inboxes (zero
+    // accounting, no trace: the restored FaultReport already carries
+    // everything from rounds < start_round). Every live node then wakes.
+    phase_ref = detail::replay_sync_log(snap, nodes, programs, crashed,
+                                        faulty ? &*injector : nullptr);
     for (Vertex v = 0; v < n; ++v) {
-      nodes[v]->set_violation_sink(&replay_violations);
-      nodes[v]->set_trace(nullptr);
-    }
-    for (std::uint64_t r = 0; r < start_round; ++r) {
-      for (Vertex v = 0; v < n; ++v) {
-        if (nodes[v]->halted() || crashed[v]) continue;
-        if (faulty) {
-          if (const auto when = injector->crash_round(v);
-              when.has_value() && r >= *when) {
-            crashed[v] = true;
-            nodes[v]->discard_outbox();
-            continue;
-          }
-        }
-        nodes[v]->clear_inbox();
-        const auto& entries = snap.inbox[v].entries;
-        if (r < entries.size())
-          for (std::uint32_t p = 0; p < entries[r].size(); ++p)
-            if (entries[r][p].has_value())
-              nodes[v]->deliver(p, BitVec(*entries[r][p]));
-        nodes[v]->begin_round(r);
-        if (faulty) {
-          try {
-            programs[v]->on_round(*nodes[v]);
-          } catch (const CheckFailure&) {
-            crashed[v] = true;
-            nodes[v]->discard_outbox();
-          }
-        } else {
-          programs[v]->on_round(*nodes[v]);
-        }
-      }
-    }
-    for (Vertex v = 0; v < n; ++v) {
-      CSD_CHECK_MSG(crashed[v] == (snap.crashed[v] != 0),
-                    "resume replay diverged: node " << v << " crash state");
-      CSD_CHECK_MSG(nodes[v]->halted() == (snap.halted[v] != 0),
-                    "resume replay diverged: node " << v << " halt state");
-      // Replayed sends were already delivered before the snapshot (their
-      // payloads are in the log rows); drop them so the live delivery
-      // phase does not ship the final replayed round's outbox twice.
-      // begin_round alone cannot clean this up — a node that halted during
-      // replay never begins another round.
-      nodes[v]->discard_outbox();
       nodes[v]->set_violation_sink(&outcome.faults.violations);
-      if (outcome.trace) nodes[v]->set_trace(&outcome.trace);
+      if (nodes[v]->halted() || crashed[v] != 0) --live;
       // The live inbox for round start_round is the last logged row.
-      nodes[v]->clear_inbox();
       const auto& entries = snap.inbox[v].entries;
       if (start_round < entries.size())
         for (std::uint32_t p = 0; p < entries[start_round].size(); ++p)
-          if (entries[start_round][p].has_value())
-            nodes[v]->deliver(p, BitVec(*entries[start_round][p]));
+          if (entries[start_round][p].has_value()) {
+            BitVec payload(*entries[start_round][p]);
+            land(v, csr_->offsets[v] + p, payload);
+          }
       if (logging) inbox_log[v].entries = snap.inbox[v].entries;
     }
   }
+  if (outcome.trace)
+    for (Vertex v = 0; v < n; ++v) nodes[v]->set_trace(&outcome.trace);
 
+  const bool audit = config_.audit_sleep;
+  std::uint64_t invocations = 0;
   std::uint64_t round = start_round;
   std::uint64_t last_progress = start_round;
   for (; round < config_.max_rounds; ++round) {
@@ -313,12 +297,9 @@ RunOutcome Network::run_impl(const ProgramFactory& factory,
         log_row(v, round);  // pad every log to round+1 rows
         s.inbox[v].entries = inbox_log[v].entries;
       }
-      s.crashed.resize(n);
+      s.crashed = crashed;
       s.halted.resize(n);
-      for (Vertex v = 0; v < n; ++v) {
-        s.crashed[v] = crashed[v] ? 1 : 0;
-        s.halted[v] = nodes[v]->halted() ? 1 : 0;
-      }
+      for (Vertex v = 0; v < n; ++v) s.halted[v] = nodes[v]->halted() ? 1 : 0;
       s.messages = outcome.metrics.messages;
       s.total_bits = outcome.metrics.total_bits;
       s.max_message_bits = outcome.metrics.max_message_bits;
@@ -330,28 +311,33 @@ RunOutcome Network::run_impl(const ProgramFactory& factory,
       if (telemetry != nullptr)
         telemetry->record(obs::EventKind::CheckpointSave, 0, round);
     }
-    bool all_stopped = true;
+    bool ran = false;
     bool progressed = false;
+    const std::uint64_t invocations_before = invocations;
     const auto compute_start = timing ? Clock::now() : Clock::time_point{};
-    for (Vertex v = 0; v < n; ++v) {
-      if (nodes[v]->halted() || crashed[v]) continue;
+    const std::vector<Vertex>& due = active.collect(0, round);
+    const auto step = [&](Vertex v) {
+      NodeState& node = *nodes[v];
+      if (node.halted() || crashed[v] != 0) return;
+      std::optional<std::uint64_t> crash_at;
       if (faulty) {
-        if (const auto when = injector->crash_round(v);
-            when.has_value() && round >= *when) {
+        crash_at = injector->crash_round(v);
+        if (crash_at.has_value() && round >= *crash_at) {
           crash(v, round);
           progressed = true;
-          continue;
+          return;
         }
       }
-      all_stopped = false;
-      nodes[v]->begin_round(round);
+      ran = true;
+      ++invocations;
+      node.begin_round(round);
       if (faulty) {
         // Graceful degradation: a program that throws (typically a wire
         // decode of a corrupted payload) becomes a crashed node, not a
         // crashed process. Without faults, programming errors still
         // propagate — fail fast.
         try {
-          programs[v]->on_round(*nodes[v]);
+          programs[v]->on_round(node);
         } catch (const CheckFailure& failure) {
           outcome.faults.violations.push_back(
               {ViolationKind::ProgramFault, v, round, failure.what()});
@@ -359,26 +345,53 @@ RunOutcome Network::run_impl(const ProgramFactory& factory,
             telemetry->record(obs::EventKind::Violation, v, round);
           crash(v, round);
           progressed = true;
+          return;
         }
       } else {
-        programs[v]->on_round(*nodes[v]);
+        programs[v]->on_round(node);
       }
-      if (nodes[v]->halted()) progressed = true;
+      if (round == 0 && phase_ref == n) phase_ref = v;
+      if (node.halted()) {
+        --live;
+        progressed = true;
+      } else {
+        active.reschedule(0, v, round, node.sleep_request(), crash_at);
+      }
+    };
+    if (!audit) {
+      for (const Vertex v : due) step(v);
+    } else {
+      // Audit: every live node runs; the sleeping ones must be no-ops.
+      auto next_due = due.begin();
+      for (Vertex v = 0; v < n; ++v) {
+        if (next_due != due.end() && *next_due == v) {
+          ++next_due;
+          step(v);
+        } else if (!nodes[v]->halted() && crashed[v] == 0) {
+          ++invocations;
+          detail::audit_sleeper(*nodes[v], *programs[v], round);
+        }
+      }
     }
     if (timing) outcome.metrics.timers.compute_ns += elapsed_ns(compute_start);
-    if (all_stopped) break;
+    if (!ran && live == 0) break;  // every node halted or crashed
+    if (outcome.trace && phase_ref < n) {
+      const std::string_view name = programs[phase_ref]->phase_of(round);
+      if (!name.empty()) outcome.trace.set_phase(round, name);
+    }
 
-    // Deliver: outboxes of this round become inboxes of the next. A present
-    // outbox slot's payload buffer is *swapped* into the reverse-edge inbox
-    // slot — no copy; the receiver's retired buffer lands in the sender's
-    // outbox slot and keeps circulating between the arenas.
+    // Deliver: outboxes of this round become inboxes of the next. Only the
+    // rows of nodes that ran can hold frames. A present outbox slot's
+    // payload buffer is *swapped* into the reverse-edge inbox slot — no
+    // copy; the receiver's retired buffer lands in the sender's outbox slot
+    // and keeps circulating between the arenas.
     const auto delivery_start = timing ? Clock::now() : Clock::time_point{};
     const std::uint64_t messages_before = outcome.metrics.messages;
     const std::uint64_t bits_before = outcome.metrics.total_bits;
-    std::uint64_t arena_frames = 0;
-    inbox_arena.reset_presence();
-    for (Vertex v = 0; v < n; ++v) {
-      if (crashed[v]) continue;
+    filled.reset(inbox_arena, [&] { inbox_arena.reset_presence(); });
+    arena_frames = 0;
+    for (const Vertex v : due) {
+      if (crashed[v] != 0) continue;
       const auto nbrs = csr_->row(v);
       const std::uint64_t base = csr_->offsets[v];
       for (std::uint32_t p = 0; p < nbrs.size(); ++p) {
@@ -421,9 +434,7 @@ RunOutcome Network::run_impl(const ProgramFactory& factory,
         if (logging && outcome.checkpoint == nullptr &&
             round + 1 <= checkpoint_at)
           log_row(nbrs[p], round + 1)[rev_port_[base + p]] = payload;
-        std::swap(inbox_arena.payload(rev_edge_[base + p]), payload);
-        inbox_arena.present(rev_edge_[base + p]) = 1;
-        ++arena_frames;
+        land(nbrs[p], rev_edge_[base + p], payload);
       }
     }
     if (timing)
@@ -433,6 +444,7 @@ RunOutcome Network::run_impl(const ProgramFactory& factory,
       m_rounds.add();
       m_messages.add(outcome.metrics.messages - messages_before);
       m_bits.add(round_bits);
+      m_invocations.add(invocations - invocations_before);
       m_arena.set(arena_frames);
       m_round_bits.observe(round_bits);
     }
@@ -440,6 +452,7 @@ RunOutcome Network::run_impl(const ProgramFactory& factory,
   }
 
   outcome.metrics.rounds = round;
+  if (timing) outcome.metrics.timers.node_rounds_invoked = invocations;
   outcome.completed =
       std::all_of(nodes.begin(), nodes.end(),
                   [](const auto& node) { return node->halted(); });
@@ -447,9 +460,9 @@ RunOutcome Network::run_impl(const ProgramFactory& factory,
   for (Vertex v = 0; v < n; ++v) {
     outcome.verdicts.push_back(nodes[v]->verdict());
     if (nodes[v]->verdict() == Verdict::Reject) outcome.detected = true;
-    if (!crashed[v] && nodes[v]->verdict() == Verdict::Reject)
+    if (crashed[v] == 0 && nodes[v]->verdict() == Verdict::Reject)
       outcome.faults.detected_by_survivors = true;
-    if (!crashed[v] && !nodes[v]->halted())
+    if (crashed[v] == 0 && !nodes[v]->halted())
       outcome.faults.stalled_nodes.push_back(v);
   }
   outcome.metrics.counters = fault_counters(outcome.faults);

@@ -96,6 +96,13 @@ struct NetworkConfig {
   /// the model, and is therefore excluded from config_digest() (snapshots
   /// resume across worker counts).
   ShardSpec shard;
+  /// Audit active-set scheduling (NodeApi::sleep_until): run sleeping
+  /// nodes anyway and CHECK that each such call sends nothing, draws no
+  /// randomness, rejects nothing and does not halt. Every outcome field,
+  /// trace and snapshot is identical with the audit on or off, so like
+  /// `shard` it is excluded from config_digest(). Costs the unscheduled
+  /// O(n) per round.
+  bool audit_sleep = false;
   /// Optional csd-metrics-v2 telemetry plane (obs/metrics_v2.hpp). Non-
   /// owning; must outlive the run. The engine only ever writes to it
   /// (counters, gauges, flight-recorder events), never reads it back, so

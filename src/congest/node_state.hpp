@@ -74,6 +74,7 @@ class NodeState final : public NodeApi {
 
   void send(std::uint32_t port, BitVec payload) override {
     CSD_CHECK_MSG(!halted_, "halted node cannot send");
+    ++sends_;
     CSD_CHECK_MSG(port < degree_, "send: port out of range");
     if (bandwidth_ != 0 && payload.size() > bandwidth_) {
       std::ostringstream detail;
@@ -115,7 +116,10 @@ class NodeState final : public NodeApi {
     }
   }
 
-  Rng& rng() override { return rng_; }
+  Rng& rng() override {
+    rng_touched_ = true;
+    return rng_;
+  }
 
   BitVec scratch() override {
     if (pool_.empty()) return BitVec{};
@@ -131,6 +135,10 @@ class NodeState final : public NodeApi {
     if (trace_ != nullptr) trace_->set_phase(round_, name);
     else if (phase_slot_ != nullptr && !phase_slot_->has_value())
       phase_slot_->emplace(name);
+  }
+
+  void sleep_until(std::uint64_t round) override {
+    if (sleep_request_ == 0 || round < sleep_request_) sleep_request_ = round;
   }
 
   void reject() override { verdict_ = Verdict::Reject; }
@@ -167,6 +175,9 @@ class NodeState final : public NodeApi {
   void begin_round(std::uint64_t r) {
     round_ = r;
     round_payload_.reset();
+    sleep_request_ = 0;
+    sends_ = 0;
+    rng_touched_ = false;
     // Presence bytes only: the delivery pass already consumed this node's
     // outbox presence, but a crash/resume path may leave stragglers.
     if (degree_ > 0) std::memset(outbox_present_, 0, degree_);
@@ -186,6 +197,12 @@ class NodeState final : public NodeApi {
   void discard_outbox() {
     if (degree_ > 0) std::memset(outbox_present_, 0, degree_);
   }
+  /// Earliest round this round's call asked to sleep until (0 = none).
+  std::uint64_t sleep_request() const { return sleep_request_; }
+  /// What the current round's call did that a sleeping node must not do:
+  /// send (attempts, clamped or not) and draw randomness.
+  std::uint32_t sends() const { return sends_; }
+  bool rng_touched() const { return rng_touched_; }
   bool halted() const { return halted_; }
   Verdict verdict() const { return verdict_; }
   Vertex index() const { return index_; }
@@ -218,6 +235,9 @@ class NodeState final : public NodeApi {
   BitVec* outbox_payload_ = nullptr;
   std::uint8_t* outbox_present_ = nullptr;
   std::vector<BitVec> pool_;  // retired payload buffers (see scratch())
+  std::uint64_t sleep_request_ = 0;
+  std::uint32_t sends_ = 0;
+  bool rng_touched_ = false;
   bool halted_ = false;
   Verdict verdict_ = Verdict::Accept;
 };

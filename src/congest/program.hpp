@@ -79,6 +79,19 @@ class NodeApi {
   /// first declaration.
   virtual void phase(std::string_view name) { (void)name; }
 
+  /// Promise that this node has nothing to do before round `round` unless
+  /// a frame arrives for it: were it called during the sleep with an empty
+  /// inbox, it would send nothing, reject nothing, halt nothing, draw no
+  /// randomness and change no state. The synchronous engines then skip it
+  /// until the earliest of `round`, the round after a frame is delivered to
+  /// it, its fault-plan crash round, or a snapshot resume. Every call
+  /// clears the sleep (a call that does not sleep again leaves the node
+  /// awake next round); several calls in one round keep the earliest
+  /// round. Purely a scheduling hint: a run's outcome, trace and snapshots
+  /// are identical whether or not the engine honours it (the async engine
+  /// and wrappers that do not forward it never do).
+  virtual void sleep_until(std::uint64_t round) { (void)round; }
+
   /// Set this node's verdict to Reject ("I detected a copy of H"). Sticky.
   virtual void reject() = 0;
   /// Stop participating after this round. The run ends when all halt.
@@ -94,6 +107,18 @@ class NodeProgram {
   /// inbox. The program must eventually call api.halt() on every node (or
   /// the network stops at its round cap and flags it).
   virtual void on_round(NodeApi& api) = 0;
+
+  /// Name of the algorithmic phase `round` belongs to ("" = none). The
+  /// per-program alternative to NodeApi::phase for programs that sleep: a
+  /// recording engine asks the program of the lowest-index node that ran
+  /// round 0, once per round (the async engine once per pulse), so phases
+  /// survive rounds in which every node sleeps. Must be a pure function of
+  /// the round and of state fixed in round 0; a NodeApi::phase declaration
+  /// made during the round takes precedence.
+  virtual std::string_view phase_of(std::uint64_t round) const {
+    (void)round;
+    return {};
+  }
 };
 
 /// Creates the program for the node with the given topology index. The same

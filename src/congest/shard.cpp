@@ -16,6 +16,7 @@
 #include <utility>
 #include <vector>
 
+#include "congest/active_set.hpp"
 #include "congest/node_state.hpp"
 #include "congest/partition.hpp"
 #include "obs/metrics.hpp"
@@ -52,13 +53,16 @@ struct WorkerCtx {
   std::uint64_t max_message_bits = 0;
   std::uint64_t channel_frames_total = 0;
   std::uint64_t channel_bits_total = 0;
+  std::uint64_t invocations = 0;  // NodeProgram calls, audit calls included
   // Last round this worker made progress (halt, crash, or frame shipped) —
   // surfaced per worker in channel_counters and in supervisor StallReports.
   std::uint64_t last_progress_round = 0;
 
   // Round-scoped scratch.
   bool all_stopped = true;
+  bool ran = false;  // some owned node's program was called
   bool progressed = false;
+  std::uint64_t round_invocations = 0;
   std::uint64_t round_dropped = 0;
   std::uint64_t round_corrupted = 0;
   std::uint64_t round_channel_frames = 0;
@@ -68,6 +72,11 @@ struct WorkerCtx {
   std::vector<Vertex> crashes;                // ascending node index
   std::vector<SentRecord> sent;               // ascending edge index
   std::optional<std::string> phase;           // first NodeApi::phase this round
+  // Lowest owned node that ran round 0 (phase_of reference candidate).
+  Vertex phase_ref = std::numeric_limits<Vertex>::max();
+  // Inbox slots of owned nodes filled by the last delivery; the worker
+  // clears exactly these before its next delivery lands.
+  FilledSlots filled;
 
   std::vector<ShardChannel> out;  // one per destination worker
 
@@ -229,6 +238,9 @@ RunOutcome run_sharded(const Network& net, const ProgramFactory& factory,
     workers[w].id = w;
     workers[w].out.resize(w_count);
     workers[w].live = static_cast<std::uint32_t>(part.owned(w).size());
+    std::uint64_t owned_slots = 0;
+    for (const Vertex v : part.owned(w)) owned_slots += csr.row(v).size();
+    workers[w].filled = FilledSlots(owned_slots / 16);
   }
 
   detail::FrameArena inbox_arena(csr);
@@ -289,6 +301,12 @@ RunOutcome run_sharded(const Network& net, const ProgramFactory& factory,
             .count());
   };
 
+  // Active-set scheduling (active_set.hpp), one lane per worker: a worker
+  // runs only its owned nodes due this round and walks only their outbox
+  // rows. A resume wakes every live node.
+  ActiveSet active(n, w_count, part.owners().data());
+  Vertex phase_ref = n;  // phase_of reference: lowest node that ran round 0
+
   // Accounting base restored from a snapshot; workers accumulate deltas on
   // top and the two are folded at checkpoints and at the end.
   std::uint64_t base_messages = 0;
@@ -316,54 +334,20 @@ RunOutcome run_sharded(const Network& net, const ProgramFactory& factory,
     outcome.faults = snap.faults;
     if (faulty) injector->restore_streams(snap.fault_streams);
 
-    // Sequential replay, identical to the classic engine's: the log already
+    // Sequential replay shared with the classic engine: the log already
     // contains every delivered payload, so replay needs no worker fan-out.
-    std::vector<ProtocolViolation> replay_violations;
-    for (Vertex v = 0; v < n; ++v)
-      nodes[v]->set_violation_sink(&replay_violations);
-    for (std::uint64_t r = 0; r < start_round; ++r) {
-      for (Vertex v = 0; v < n; ++v) {
-        if (nodes[v]->halted() || crashed[v]) continue;
-        if (faulty) {
-          if (const auto when = injector->crash_round(v);
-              when.has_value() && r >= *when) {
-            crashed[v] = 1;
-            nodes[v]->discard_outbox();
-            continue;
-          }
-        }
-        nodes[v]->clear_inbox();
-        const auto& entries = snap.inbox[v].entries;
-        if (r < entries.size())
-          for (std::uint32_t p = 0; p < entries[r].size(); ++p)
-            if (entries[r][p].has_value())
-              nodes[v]->deliver(p, BitVec(*entries[r][p]));
-        nodes[v]->begin_round(r);
-        if (faulty) {
-          try {
-            programs[v]->on_round(*nodes[v]);
-          } catch (const CheckFailure&) {
-            crashed[v] = 1;
-            nodes[v]->discard_outbox();
-          }
-        } else {
-          programs[v]->on_round(*nodes[v]);
-        }
-      }
-    }
+    phase_ref = replay_sync_log(snap, nodes, programs, crashed,
+                                faulty ? &*injector : nullptr);
     for (Vertex v = 0; v < n; ++v) {
-      CSD_CHECK_MSG(crashed[v] == snap.crashed[v],
-                    "resume replay diverged: node " << v << " crash state");
-      CSD_CHECK_MSG(nodes[v]->halted() == (snap.halted[v] != 0),
-                    "resume replay diverged: node " << v << " halt state");
-      nodes[v]->discard_outbox();
-      nodes[v]->set_violation_sink(&workers[part.owner(v)].violations);
-      nodes[v]->clear_inbox();
+      WorkerCtx& owner = workers[part.owner(v)];
+      nodes[v]->set_violation_sink(&owner.violations);
       const auto& entries = snap.inbox[v].entries;
       if (start_round < entries.size())
         for (std::uint32_t p = 0; p < entries[start_round].size(); ++p)
-          if (entries[start_round][p].has_value())
+          if (entries[start_round][p].has_value()) {
             nodes[v]->deliver(p, BitVec(*entries[start_round][p]));
+            owner.filled.add(csr.offsets[v] + p);
+          }
       if (logging) inbox_log[v].entries = snap.inbox[v].entries;
     }
     for (std::uint32_t w = 0; w < w_count; ++w) {
@@ -411,7 +395,7 @@ RunOutcome run_sharded(const Network& net, const ProgramFactory& factory,
   // events in the deterministic merge order. Write-only; nullptr = inert.
   obs::Telemetry* const telemetry = config.telemetry;
   obs::Counter m_supersteps, m_channel_frames, m_channel_bits, m_local_frames,
-      m_drops, m_corrupts, m_crashes;
+      m_drops, m_corrupts, m_crashes, m_invocations;
   obs::Histogram m_exchange_hist;
   std::vector<obs::Counter> m_worker_frames;
   if (telemetry != nullptr) {
@@ -422,6 +406,7 @@ RunOutcome run_sharded(const Network& net, const ProgramFactory& factory,
     m_drops = telemetry->counter("shard_frames_dropped");
     m_corrupts = telemetry->counter("shard_frames_corrupted");
     m_crashes = telemetry->counter("shard_node_crashes");
+    m_invocations = telemetry->counter("sync_node_invocations");
     m_exchange_hist = telemetry->histogram("shard_exchange_frames");
     m_worker_frames.reserve(w_count);
     for (std::uint32_t w = 0; w < w_count; ++w)
@@ -429,26 +414,51 @@ RunOutcome run_sharded(const Network& net, const ProgramFactory& factory,
           obs::worker_counter_name("shard_channel_frames", w)));
   }
 
-  // Phase A: compute owned nodes, then scan the owned outbox slice —
-  // account, apply fault fates, deliver locally, batch remote frames.
+  // Deliver into an owned inbox slot and wake its node for next round.
+  const auto land = [&](WorkerCtx& ctx, Vertex dst, std::uint64_t slot,
+                        BitVec& payload) {
+    std::swap(inbox_arena.payload(slot), payload);
+    inbox_arena.present(slot) = 1;
+    ctx.filled.add(slot);
+    active.wake(ctx.id, dst);
+  };
+
+  // Phase A: compute the owned nodes due this round, then scan their
+  // outbox rows — account, apply fault fates, deliver locally, batch
+  // remote frames.
+  const bool audit = config.audit_sleep;
   const auto phase_a = [&](std::uint32_t w) {
     WorkerCtx& ctx = workers[w];
-    if (ctx.live == 0) return;  // vote-to-halt: nothing to run or ship
-    const auto& owned = part.owned(w);
-    for (const Vertex v : owned) {
-      if (nodes[v]->halted() || crashed[v]) continue;
+    // Fresh inboxes for round + 1 before any delivery lands in them (after
+    // the compute below has read them). Only this worker writes its nodes'
+    // inbox rows (locally here, remotely in its own phase B), so the reset
+    // never races.
+    const auto clear_filled = [&] {
+      ctx.filled.reset(inbox_arena, [&] {
+        for (const Vertex v : part.owned(w)) nodes[v]->clear_inbox();
+      });
+    };
+    if (ctx.live == 0) {  // vote-to-halt: nothing to run or ship
+      clear_filled();
+      return;
+    }
+    const std::vector<Vertex>& due = active.collect(w, round);
+    const auto step = [&](Vertex v) {
+      if (nodes[v]->halted() || crashed[v]) return;
+      std::optional<std::uint64_t> crash_at;
       if (faulty) {
-        if (const auto when = injector->crash_round(v);
-            when.has_value() && round >= *when) {
+        crash_at = injector->crash_round(v);
+        if (crash_at.has_value() && round >= *crash_at) {
           crashed[v] = 1;
           nodes[v]->discard_outbox();
           ctx.crashes.push_back(v);
           --ctx.live;
           ctx.progressed = true;
-          continue;
+          return;
         }
       }
-      ctx.all_stopped = false;
+      ctx.ran = true;
+      ++ctx.round_invocations;
       nodes[v]->begin_round(round);
       if (faulty) {
         try {
@@ -461,22 +471,41 @@ RunOutcome run_sharded(const Network& net, const ProgramFactory& factory,
           ctx.crashes.push_back(v);
           --ctx.live;
           ctx.progressed = true;
-          continue;
+          return;
         }
       } else {
         ctx.error_vertex = v;  // fail-fast bookkeeping, see catch below
         programs[v]->on_round(*nodes[v]);
       }
+      if (round == 0 && ctx.phase_ref == std::numeric_limits<Vertex>::max())
+        ctx.phase_ref = v;
       if (nodes[v]->halted()) {
         --ctx.live;
         ctx.progressed = true;
+      } else {
+        active.reschedule(w, v, round, nodes[v]->sleep_request(), crash_at);
+      }
+    };
+    if (!audit) {
+      for (const Vertex v : due) step(v);
+    } else {
+      // Audit: every live owned node runs; the sleeping ones must be
+      // no-ops (audit_sleeper CHECKs it).
+      auto next_due = due.begin();
+      for (const Vertex v : part.owned(w)) {
+        if (next_due != due.end() && *next_due == v) {
+          ++next_due;
+          step(v);
+        } else if (!nodes[v]->halted() && !crashed[v]) {
+          ctx.error_vertex = v;
+          ++ctx.round_invocations;
+          audit_sleeper(*nodes[v], *programs[v], round);
+        }
       }
     }
-    // Fresh inboxes for round + 1 before any delivery lands in them. Only
-    // this worker writes its nodes' inbox rows (locally here, remotely in
-    // its own phase B), so the reset never races.
-    for (const Vertex v : owned) nodes[v]->clear_inbox();
-    for (const Vertex v : owned) {
+    ctx.all_stopped = !ctx.ran && ctx.live == 0;
+    clear_filled();
+    for (const Vertex v : due) {
       if (crashed[v]) continue;
       const auto nbrs = csr.row(v);
       const std::uint64_t base = csr.offsets[v];
@@ -514,8 +543,7 @@ RunOutcome run_sharded(const Network& net, const ProgramFactory& factory,
           ++ctx.round_local_frames;
           if (logging && !checkpoint_taken && round + 1 <= checkpoint_at)
             log_row(dst, round + 1)[rev_port[e]] = payload;
-          std::swap(inbox_arena.payload(rev_edge[e]), payload);
-          inbox_arena.present(rev_edge[e]) = 1;
+          land(ctx, dst, rev_edge[e], payload);
         } else {
           ++ctx.round_channel_frames;
           ctx.round_channel_bits += payload.size();
@@ -539,13 +567,10 @@ RunOutcome run_sharded(const Network& net, const ProgramFactory& factory,
       ShardChannel& channel = workers[src].out[w];
       for (std::size_t i = 0; i < channel.used; ++i) {
         const std::uint64_t e = channel.edges[i];
-        BitVec& payload = channel.payloads[i];
-        if (logging && !checkpoint_taken && round + 1 <= checkpoint_at) {
-          const Vertex dst = csr.neighbors[e];
-          log_row(dst, round + 1)[rev_port[e]] = payload;
-        }
-        std::swap(inbox_arena.payload(rev_edge[e]), payload);
-        inbox_arena.present(rev_edge[e]) = 1;
+        const Vertex dst = csr.neighbors[e];
+        if (logging && !checkpoint_taken && round + 1 <= checkpoint_at)
+          log_row(dst, round + 1)[rev_port[e]] = channel.payloads[i];
+        land(workers[w], dst, rev_edge[e], channel.payloads[i]);
       }
       channel.reset();
     }
@@ -619,7 +644,9 @@ RunOutcome run_sharded(const Network& net, const ProgramFactory& factory,
 
     for (WorkerCtx& ctx : workers) {
       ctx.all_stopped = true;
+      ctx.ran = false;
       ctx.progressed = false;
+      ctx.round_invocations = 0;
       ctx.round_dropped = 0;
       ctx.round_corrupted = 0;
       ctx.round_channel_frames = 0;
@@ -680,12 +707,23 @@ RunOutcome run_sharded(const Network& net, const ProgramFactory& factory,
               config.on_message(round, rec.src, rec.dst, rec.bits);
           });
     }
+    if (round == 0 && phase_ref == n)
+      for (const WorkerCtx& ctx : workers)
+        phase_ref = std::min(phase_ref, ctx.phase_ref);
     if (outcome.trace) {
       for (WorkerCtx& ctx : workers)
         if (ctx.phase.has_value()) {
           outcome.trace.set_phase(round, *ctx.phase);
           break;
         }
+      if (!all_stopped && phase_ref < n) {
+        const std::string_view name = programs[phase_ref]->phase_of(round);
+        if (!name.empty()) outcome.trace.set_phase(round, name);
+      }
+    }
+    for (WorkerCtx& ctx : workers) {
+      ctx.invocations += ctx.round_invocations;
+      if (telemetry != nullptr) m_invocations.add(ctx.round_invocations);
     }
     if (all_stopped) {
       if (timing)
@@ -732,6 +770,9 @@ RunOutcome run_sharded(const Network& net, const ProgramFactory& factory,
   }
 
   outcome.metrics.rounds = round;
+  if (timing)
+    for (const WorkerCtx& ctx : workers)
+      outcome.metrics.timers.node_rounds_invoked += ctx.invocations;
   fold_accounting(outcome.metrics.messages, outcome.metrics.total_bits,
                   outcome.metrics.max_message_bits);
   outcome.completed =

@@ -1,7 +1,9 @@
 #include "detect/even_cycle.hpp"
 
 #include <algorithm>
-#include <deque>
+#include <memory>
+#include <utility>
+#include <vector>
 
 #include "detect/id_set.hpp"
 #include "support/check.hpp"
@@ -28,24 +30,52 @@ Role role_of_color(std::uint32_t color, std::uint32_t k) {
   return {Role::Decreasing, 2 * k - color};
 }
 
+/// FIFO over a vector: nothing allocated until the first push (a
+/// std::deque allocates ~600 bytes when constructed, for every node).
+template <typename T>
+class Fifo {
+ public:
+  bool empty() const { return head_ == items_.size(); }
+  std::size_t size() const { return items_.size() - head_; }
+  void push_back(T item) { items_.push_back(std::move(item)); }
+  T pop_front() {
+    T item = std::move(items_[head_++]);
+    if (empty()) clear();
+    return item;
+  }
+  void clear() {
+    items_.clear();
+    head_ = 0;
+  }
+
+ private:
+  std::vector<T> items_;
+  std::size_t head_ = 0;
+};
+
 class EvenCycleProgram final : public congest::NodeProgram {
  public:
-  EvenCycleProgram(const EvenCycleConfig& cfg, EvenCycleProbe* probe)
-      : cfg_(cfg), probe_(probe) {}
+  /// `cfg` is shared by every node of a run (one copy per factory).
+  EvenCycleProgram(std::shared_ptr<const EvenCycleConfig> cfg,
+                   EvenCycleProbe* probe)
+      : cfg_(std::move(cfg)), probe_(probe) {}
 
+  // The schedule is a pure function of the round, so every node that has
+  // nothing queued sleeps to its next fixed deadline (phase-I removal
+  // round, end of peeling, final round); an arriving token wakes it.
   void on_round(congest::NodeApi& api) override {
     if (api.round() == 0) setup(api);
 
     const std::uint64_t r = api.round();
     if (r <= sched_.phase1_rounds) {
-      api.phase(r < sched_.phase1_rounds ? "phase1-pipeline"
-                                         : "phase1-removal");
       phase1_round(api);
       if (r == sched_.phase1_rounds) {
         // Removal announcement: 1 = I am high-degree and drop out.
         wire::Writer w(api.scratch());
         w.boolean(removed_);
         api.broadcast(std::move(w).take());
+      } else if (phase1_queue_.empty()) {
+        api.sleep_until(sched_.phase1_rounds);
       }
       return;
     }
@@ -54,12 +84,12 @@ class EvenCycleProgram final : public congest::NodeProgram {
     const std::uint64_t peel_end = peel_begin + sched_.layer_waves;  // excl.
     if (r == peel_begin) record_removals(api);
     if (r >= peel_begin && r < peel_end) {
-      api.phase("phase2-peel");
       peel_round(api, static_cast<std::uint32_t>(r - peel_begin));
+      // A fixed decision only absorbs later peel announcements, which
+      // nothing reads any more.
+      if (removed_ || layer_ != kNoLayer) api.sleep_until(peel_end);
       return;
     }
-    api.phase(r == sched_.final_round ? "phase2-midpoint"
-                                      : "phase2-propagate");
     if (r == peel_end) {
       // Unassigned active node after ⌈log n⌉+1 waves: the remaining graph is
       // denser than any C_2k-free graph can be — certifies a cycle.
@@ -73,23 +103,32 @@ class EvenCycleProgram final : public congest::NodeProgram {
       midpoint_check(api);
       CSD_CHECK_MSG(queue_.empty(), "phase-II token queue failed to drain");
       api.halt();
+    } else if (queue_.empty()) {
+      api.sleep_until(sched_.final_round);
     }
+  }
+
+  std::string_view phase_of(std::uint64_t r) const override {
+    if (r < sched_.phase1_rounds) return "phase1-pipeline";
+    if (r == sched_.phase1_rounds) return "phase1-removal";
+    if (r <= sched_.phase1_rounds + sched_.layer_waves) return "phase2-peel";
+    return r == sched_.final_round ? "phase2-midpoint" : "phase2-propagate";
   }
 
  private:
   // -- setup ------------------------------------------------------------
   void setup(congest::NodeApi& api) {
-    sched_ = make_even_cycle_schedule(api.network_size(), cfg_);
+    sched_ = make_even_cycle_schedule(api.network_size(), *cfg_);
     id_bits_ = wire::bits_for(api.namespace_size());
-    hop_bits_ = wire::bits_for(2 * cfg_.k);
-    pos_bits_ = wire::bits_for(cfg_.k + 1);
+    hop_bits_ = wire::bits_for(2 * cfg_->k);
+    pos_bits_ = wire::bits_for(cfg_->k + 1);
     layer_bits_ = wire::bits_for(sched_.layer_waves + 1);
     const std::uint64_t needed = std::max<std::uint64_t>(
         id_bits_ + hop_bits_, 1 + pos_bits_ + id_bits_ + layer_bits_);
     CSD_CHECK_MSG(api.bandwidth() == 0 || api.bandwidth() >= needed,
                   "bandwidth too small for C_2k detection");
-    color1_ = static_cast<std::uint32_t>(api.rng().below(2 * cfg_.k));
-    color2_ = static_cast<std::uint32_t>(api.rng().below(2 * cfg_.k));
+    color1_ = static_cast<std::uint32_t>(api.rng().below(2 * cfg_->k));
+    color2_ = static_cast<std::uint32_t>(api.rng().below(2 * cfg_->k));
     removed_ = api.degree() >= sched_.degree_threshold;
     phase1_seen_.init(api.namespace_size());
     token_seen_.init(api.namespace_size());
@@ -97,7 +136,7 @@ class EvenCycleProgram final : public congest::NodeProgram {
     decr_origins_.init(api.namespace_size());
     neighbor_active_.assign(api.degree(), true);
     neighbor_unassigned_.assign(api.degree(), true);
-    if (cfg_.enable_phase1 && color1_ == 0 &&
+    if (cfg_->enable_phase1 && color1_ == 0 &&
         api.degree() >= sched_.degree_threshold)
       phase1_queue_.push_back(api.id());
   }
@@ -112,7 +151,7 @@ class EvenCycleProgram final : public congest::NodeProgram {
         wire::Reader reader(*msg);
         const congest::NodeId origin = reader.u(id_bits_);
         const auto hop = static_cast<std::uint32_t>(reader.u(hop_bits_));
-        if (origin == api.id() && hop == 2 * cfg_.k - 1) {
+        if (origin == api.id() && hop == 2 * cfg_->k - 1) {
           api.reject();  // properly-colored 2k-cycle closed
           continue;
         }
@@ -142,8 +181,7 @@ class EvenCycleProgram final : public congest::NodeProgram {
     }
 
     if (!phase1_queue_.empty()) {
-      const congest::NodeId origin = phase1_queue_.front();
-      phase1_queue_.pop_front();
+      const congest::NodeId origin = phase1_queue_.pop_front();
       wire::Writer w(api.scratch());
       w.u(origin, id_bits_);
       w.u(color1_, hop_bits_);
@@ -200,14 +238,14 @@ class EvenCycleProgram final : public congest::NodeProgram {
   void propagation_round(congest::NodeApi& api) {
     const std::uint64_t r = api.round();
     if (removed_ || layer_ == kNoLayer) return;
-    const Role role = role_of_color(color2_, cfg_.k);
+    const Role role = role_of_color(color2_, cfg_->k);
 
     // Receive tokens (any round past the first propagation window start).
     if (r > sched_.window_start[1]) receive_tokens(api, role);
 
     // Origin announcement in window 1.
     if (r == sched_.window_start[1] && role.kind == Role::Origin &&
-        cfg_.enable_phase2) {
+        cfg_->enable_phase2) {
       wire::Writer w(api.scratch());
       w.boolean(false);
       w.u(0, pos_bits_);
@@ -220,8 +258,7 @@ class EvenCycleProgram final : public congest::NodeProgram {
     // Forwarding windows 2..k (positions 1..k-1 send).
     if ((role.kind == Role::Increasing || role.kind == Role::Decreasing) &&
         in_send_window(r, role.position) && !queue_.empty()) {
-      const Token token = queue_.front();
-      queue_.pop_front();
+      const Token token = queue_.pop_front();
       wire::Writer w(api.scratch());
       w.boolean(token.decreasing);
       w.u(role.position, pos_bits_);
@@ -233,9 +270,9 @@ class EvenCycleProgram final : public congest::NodeProgram {
 
   bool in_send_window(std::uint64_t r, std::uint32_t position) const {
     const std::uint32_t window = position + 1;  // position p sends in w_{p+1}
-    if (window > cfg_.k) return false;
+    if (window > cfg_->k) return false;
     const std::uint64_t begin = sched_.window_start[window];
-    const std::uint64_t end = window == cfg_.k
+    const std::uint64_t end = window == cfg_->k
                                   ? sched_.final_round
                                   : sched_.window_start[window + 1];
     return r >= begin && r < end;
@@ -256,7 +293,7 @@ class EvenCycleProgram final : public congest::NodeProgram {
       if (layer_ == kNoLayer || token.origin_layer < layer_) continue;
 
       if (role.kind == Role::Midpoint) {
-        if (token.position != cfg_.k - 1) continue;
+        if (token.position != cfg_->k - 1) continue;
         auto& set = token.decreasing ? decr_origins_ : incr_origins_;
         set.insert(token.origin);
         continue;
@@ -277,14 +314,14 @@ class EvenCycleProgram final : public congest::NodeProgram {
 
   void midpoint_check(congest::NodeApi& api) {
     if (removed_ || layer_ == kNoLayer) return;
-    if (role_of_color(color2_, cfg_.k).kind != Role::Midpoint) return;
+    if (role_of_color(color2_, cfg_->k).kind != Role::Midpoint) return;
     // Increasing and decreasing prefixes meet at the midpoint: C_2k. With
     // dense id sets this is one word-parallel intersection.
     if (intersects(incr_origins_, decr_origins_)) api.reject();
   }
 
   // -- state --------------------------------------------------------------
-  EvenCycleConfig cfg_;
+  std::shared_ptr<const EvenCycleConfig> cfg_;
   EvenCycleProbe* probe_ = nullptr;
   EvenCycleSchedule sched_;
   unsigned id_bits_ = 0, hop_bits_ = 0, pos_bits_ = 0, layer_bits_ = 0;
@@ -293,9 +330,9 @@ class EvenCycleProgram final : public congest::NodeProgram {
   std::uint32_t layer_ = kNoLayer;
   std::vector<bool> neighbor_active_;
   std::vector<bool> neighbor_unassigned_;
-  std::deque<congest::NodeId> phase1_queue_;
+  Fifo<congest::NodeId> phase1_queue_;
   IdSet phase1_seen_;
-  std::deque<Token> queue_;
+  Fifo<Token> queue_;
   IdSet token_seen_;
   IdSet incr_origins_;
   IdSet decr_origins_;
@@ -337,8 +374,9 @@ EvenCycleSchedule make_even_cycle_schedule(std::uint64_t n,
 
 congest::ProgramFactory even_cycle_program(const EvenCycleConfig& cfg,
                                            EvenCycleProbe* probe) {
-  return [cfg, probe](std::uint32_t) {
-    return std::make_unique<EvenCycleProgram>(cfg, probe);
+  auto shared = std::make_shared<const EvenCycleConfig>(cfg);
+  return [shared, probe](std::uint32_t) {
+    return std::make_unique<EvenCycleProgram>(shared, probe);
   };
 }
 
@@ -362,6 +400,7 @@ congest::RunOutcome detect_even_cycle(const Graph& g,
   net_cfg.seed = seed;
   net_cfg.trace = cfg.trace;
   net_cfg.shard = cfg.shard;
+  net_cfg.audit_sleep = cfg.audit_sleep;
   net_cfg.telemetry = cfg.telemetry;
   net_cfg.max_rounds =
       make_even_cycle_schedule(std::max<std::uint64_t>(2, g.num_vertices()),

@@ -56,6 +56,9 @@ struct EvenCycleConfig {
   /// Sharded superstep execution of each repetition (congest/shard.hpp);
   /// workers == 0 keeps the classic engine. Bit-identical either way.
   congest::ShardSpec shard;
+  /// Run sleeping nodes anyway and CHECK they keep the sleep promise
+  /// (NetworkConfig::audit_sleep); identical outcome, unscheduled cost.
+  bool audit_sleep = false;
   /// Optional csd-metrics-v2 plane, forwarded to every repetition's engine
   /// (non-owning, write-only; nullptr = zero cost).
   obs::Telemetry* telemetry = nullptr;

@@ -177,6 +177,64 @@ std::optional<Divergence> check_sync_resume(
   return std::nullopt;
 }
 
+/// Active-set scheduling must be unobservable. The audited run calls every
+/// sleeping node anyway (the engine CHECKs each such call is a no-op); it
+/// must reproduce `reference` (the scheduled run of `cfg`) on verdicts,
+/// fault report, accounting and trace bytes. A snapshot the audited run
+/// takes mid-run must equal the scheduled run's byte for byte, and
+/// resuming it on the scheduled engine must reproduce the reference.
+std::optional<Divergence> check_sleep_equivalence(
+    const Graph& host, const congest::NetworkConfig& cfg,
+    const congest::ProgramFactory& factory,
+    const congest::RunOutcome& reference, std::uint64_t pick_seed,
+    const char* name) {
+  std::ostringstream os;
+  os << name << ": ";
+  try {
+    congest::NetworkConfig audit_cfg = cfg;
+    audit_cfg.audit_sleep = true;
+    const congest::RunOutcome audited =
+        congest::Network(host, audit_cfg).run(factory);
+    if (!(digest(audited) == digest(reference)) ||
+        trace_bytes(audited.trace) != trace_bytes(reference.trace)) {
+      os << "audited run differs from the scheduled one (detected "
+         << audited.detected << "/" << reference.detected << ", bits "
+         << audited.metrics.total_bits << "/"
+         << reference.metrics.total_bits << ")";
+      return diverge("sleep-equivalence", os);
+    }
+    if (reference.metrics.rounds < 2) return std::nullopt;
+    const std::uint64_t at = 1 + pick_seed % (reference.metrics.rounds - 1);
+    congest::NetworkConfig ckpt_cfg = cfg;
+    ckpt_cfg.checkpoint_at_round = at;
+    audit_cfg.checkpoint_at_round = at;
+    const congest::Network net(host, ckpt_cfg);
+    const auto scheduled = net.run(factory).checkpoint;
+    const auto snapshot =
+        congest::Network(host, audit_cfg).run(factory).checkpoint;
+    if (scheduled == nullptr || snapshot == nullptr ||
+        congest::to_json(*scheduled).dump() !=
+            congest::to_json(*snapshot).dump()) {
+      os << "snapshots at round " << at
+         << " differ between the scheduled and the audited run";
+      return diverge("sleep-equivalence", os);
+    }
+    const congest::RunOutcome resumed =
+        net.resume(factory, wire_round_trip(*snapshot));
+    if (!(digest(resumed) == digest(reference))) {
+      os << "resuming the audited run's round-" << at
+         << " snapshot diverged (bits " << resumed.metrics.total_bits << "/"
+         << reference.metrics.total_bits << ")";
+      return diverge("sleep-equivalence", os);
+    }
+  } catch (const CheckFailure& failure) {
+    // The audit's own CHECK: a sleeper did something, or was not woken.
+    os << failure.what();
+    return diverge("sleep-equivalence", os);
+  }
+  return std::nullopt;
+}
+
 /// The async flavour of check_sync_resume (both wire disciplines, and the
 /// recovery configuration when the caller enables it in `cfg`).
 std::optional<Divergence> check_async_resume(
@@ -527,6 +585,15 @@ std::optional<Divergence> check_case(const FuzzCase& c,
     }
   }
 
+  {
+    congest::NetworkConfig cfg = sync_cfg;
+    cfg.seed = derive_seed(c.seed, 0x5eedULL);
+    if (auto d = check_sleep_equivalence(host, cfg, factory, sync_reps[0],
+                                         derive_seed(c.seed, 0x51ee9ULL),
+                                         "fault-free"))
+      return d;
+  }
+
   // Aggregation rules vs a hand-rolled per-repetition aggregate.
   bool agg_detected = false, agg_completed = true;
   std::uint64_t agg_rounds = 0, agg_bits = 0, agg_messages = 0;
@@ -623,6 +690,10 @@ std::optional<Divergence> check_case(const FuzzCase& c,
       return diverge("shard-fault-equivalence", os);
     }
   }
+  if (auto d = check_sleep_equivalence(host, faulty_sync, factory, s1,
+                                       derive_seed(c.seed, 0x51ee9ULL),
+                                       "faulty"))
+    return d;
   if (s1.faults.crashed_nodes.empty() &&
       s1.faults.detected_by_survivors != s1.detected) {
     std::ostringstream os;

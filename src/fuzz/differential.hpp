@@ -36,6 +36,12 @@
 //     through its amplified checkpoints reassembles the uninterrupted
 //     aggregate at --jobs 1 and 4, fault-free and with the retry ledger
 //     engaged;
+//   * sleep equivalence: active-set scheduling is unobservable — the
+//     audited run (sleeping nodes called anyway, each call CHECKed to be a
+//     no-op) matches the scheduled one on verdicts, fault report,
+//     accounting and trace bytes, fault-free and under faults, and its
+//     mid-run snapshot is byte-identical and resumes on the scheduled
+//     engine to the same outcome;
 //   * node recovery: with scheduled crashes, reliable transport, and
 //     RecoveryPolicy on, the run is deterministic, every crashed node
 //     rejoins (none left dead with retry budget to spare), and when no

@@ -70,7 +70,10 @@ Graph read_edge_list(std::istream& is) {
   std::string line;
   CSD_CHECK_MSG(reader.next(line), "empty graph input");
   const auto [n, m] = parse_two(line, reader.line_number(), "header");
-  CSD_CHECK_MSG(n <= kNoVertex, "vertex count too large");
+  CSD_CHECK_MSG(n <= kMaxReadVertices, "line " << reader.line_number()
+                                                << ": vertex count " << n
+                                                << " exceeds the reader's "
+                                                << kMaxReadVertices);
   Graph g(static_cast<Vertex>(n));
   for (std::uint64_t i = 0; i < m; ++i) {
     CSD_CHECK_MSG(reader.next(line),
@@ -101,7 +104,10 @@ Graph read_dimacs(std::istream& is) {
   header >> p >> kind >> n >> m;
   CSD_CHECK_MSG(p == "p" && !header.fail(),
                 "line " << reader.line_number() << ": expected 'p edge n m'");
-  CSD_CHECK_MSG(n <= kNoVertex, "vertex count too large");
+  CSD_CHECK_MSG(n <= kMaxReadVertices, "line " << reader.line_number()
+                                                << ": vertex count " << n
+                                                << " exceeds the reader's "
+                                                << kMaxReadVertices);
   Graph g(static_cast<Vertex>(n));
   for (std::uint64_t i = 0; i < m; ++i) {
     CSD_CHECK_MSG(reader.next(line), "expected " << m << " edges, got " << i);

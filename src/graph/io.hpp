@@ -19,6 +19,11 @@
 
 namespace csd::io {
 
+/// Largest vertex count a reader accepts. A header is read before any
+/// edge, so a larger count is refused before the adjacency lists (24 bytes
+/// per vertex) are allocated.
+constexpr std::uint64_t kMaxReadVertices = 1ULL << 26;
+
 /// Write/read the plain edge-list format. Readers throw CheckFailure with a
 /// line-numbered message on malformed input.
 void write_edge_list(std::ostream& os, const Graph& g);

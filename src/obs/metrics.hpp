@@ -69,6 +69,10 @@ struct EngineTimers {
   std::uint64_t compute_ns = 0;
   std::uint64_t delivery_ns = 0;
   std::uint64_t transport_ns = 0;
+  /// Node programs the engine called (NodeProgram::on_round): node-rounds
+  /// minus the ones active-set scheduling skipped. A count, not a time, but
+  /// like the times it stays out of the deterministic trace.
+  std::uint64_t node_rounds_invoked = 0;
 
   std::uint64_t total_ns() const noexcept {
     return compute_ns + delivery_ns + transport_ns;
@@ -79,6 +83,7 @@ struct EngineTimers {
     compute_ns += other.compute_ns;
     delivery_ns += other.delivery_ns;
     transport_ns += other.transport_ns;
+    node_rounds_invoked += other.node_rounds_invoked;
   }
 };
 

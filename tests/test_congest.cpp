@@ -1,14 +1,20 @@
 // Tests for the CONGEST simulator: round semantics, bandwidth enforcement,
-// metrics accounting, transcripts, identifiers, and the congested-clique
-// helpers.
+// metrics accounting, transcripts, identifiers, the congested-clique
+// helpers, and active-set scheduling against the unscheduled reference.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "congest/clique.hpp"
 #include "congest/network.hpp"
 #include "graph/builders.hpp"
+#include "obs/metrics_v2.hpp"
+#include "sleepy_programs.hpp"
 #include "support/check.hpp"
+#include "support/rng.hpp"
 #include "support/wire.hpp"
 
 namespace csd::congest {
@@ -467,6 +473,223 @@ TEST(Clique, RunsProgramsAllToAll) {
     return std::make_unique<CountNeighbors>();
   });
   EXPECT_TRUE(outcome.completed);
+}
+
+// -- active-set scheduling (NodeApi::sleep_until) ---------------------------
+
+using sleepy::no_sleep;
+using sleepy::random_sleepers;
+using sleepy::ScriptedSleeper;
+
+std::string trace_jsonl(const RunOutcome& outcome) {
+  std::ostringstream os;
+  outcome.trace.write_jsonl(os);
+  return os.str();
+}
+
+/// Every deterministic outcome field, the trace bytes included.
+void expect_same_run(const RunOutcome& a, const RunOutcome& b,
+                     const std::string& label) {
+  EXPECT_EQ(a.completed, b.completed) << label;
+  EXPECT_EQ(a.detected, b.detected) << label;
+  EXPECT_EQ(a.verdicts, b.verdicts) << label;
+  EXPECT_EQ(a.metrics.rounds, b.metrics.rounds) << label;
+  EXPECT_EQ(a.metrics.messages, b.metrics.messages) << label;
+  EXPECT_EQ(a.metrics.total_bits, b.metrics.total_bits) << label;
+  EXPECT_EQ(a.metrics.bits_sent_by_node, b.metrics.bits_sent_by_node)
+      << label;
+  EXPECT_TRUE(a.faults == b.faults) << label;
+  EXPECT_EQ(trace_jsonl(a), trace_jsonl(b)) << label;
+}
+
+/// Path 0 - 1. Node 0 pings node 1 in rounds 0 and 4 and sleeps between;
+/// node 1 sleeps to round 5 and rejects on its second frame.
+struct PingScript {
+  std::vector<std::vector<std::uint64_t>> calls{2};
+  ProgramFactory factory() {
+    return [this](std::uint32_t v) {
+      ScriptedSleeper::Script script;
+      if (v == 0) {
+        script.sends = {0, 4};
+        script.deadlines = {4};
+      } else {
+        script.deadlines = {5};
+        script.reject_after = 2;
+      }
+      return std::make_unique<ScriptedSleeper>(script, &calls[v]);
+    };
+  }
+};
+
+TEST(ActiveSet, WakesOnFrameAtDeadlineAndOnceForBoth) {
+  NetworkConfig cfg;
+  cfg.trace.timers = true;
+  const Network net(build::path(2), cfg);
+  PingScript script;
+  const RunOutcome outcome = net.run(script.factory());
+  // Node 1: woken by the round-0 frame in round 1, then once in round 5,
+  // where its deadline and the round-4 frame coincide.
+  EXPECT_EQ(script.calls[0], (std::vector<std::uint64_t>{0, 4, 8}));
+  EXPECT_EQ(script.calls[1], (std::vector<std::uint64_t>{0, 1, 5, 8}));
+  EXPECT_TRUE(outcome.detected);
+  EXPECT_EQ(outcome.verdicts[1], Verdict::Reject);
+  EXPECT_EQ(outcome.metrics.rounds, 9u);
+  EXPECT_EQ(outcome.metrics.messages, 2u);
+  EXPECT_EQ(outcome.metrics.timers.node_rounds_invoked, 7u);
+
+  PingScript reference;
+  expect_same_run(outcome, net.run(no_sleep(reference.factory())),
+                  "unscheduled reference");
+  EXPECT_EQ(reference.calls[1].size(), 9u);
+
+  NetworkConfig audit_cfg = cfg;
+  audit_cfg.audit_sleep = true;
+  PingScript audited;
+  const RunOutcome audit = Network(build::path(2), audit_cfg)
+                               .run(audited.factory());
+  expect_same_run(outcome, audit, "audit");
+  EXPECT_EQ(audit.metrics.timers.node_rounds_invoked, 18u);
+}
+
+TEST(ActiveSet, DroppedFrameDoesNotWakeCorruptedOneDoes) {
+  for (const bool drop : {true, false}) {
+    NetworkConfig cfg;
+    if (drop)
+      cfg.faults.drop = 1.0;
+    else
+      cfg.faults.corrupt = 1.0;
+    const Network net(build::path(2), cfg);
+    PingScript script;
+    const RunOutcome outcome = net.run(script.factory());
+    const std::vector<std::uint64_t> expected =
+        drop ? std::vector<std::uint64_t>{0, 5, 8}
+             : std::vector<std::uint64_t>{0, 1, 5, 8};
+    EXPECT_EQ(script.calls[1], expected) << (drop ? "drop" : "corrupt");
+    EXPECT_EQ(outcome.detected, !drop);
+    PingScript reference;
+    expect_same_run(outcome, net.run(no_sleep(reference.factory())),
+                    drop ? "drop" : "corrupt");
+  }
+}
+
+TEST(ActiveSet, CrashRoundInsideASleepLandsOnTime) {
+  // Node 1 sleeps from round 1 to 5 but is scheduled to crash in round 3;
+  // node 0 halts in round 2, so the run ends exactly when the crash lands.
+  NetworkConfig cfg;
+  cfg.faults.crashes = {{1, 3}};
+  const Network net(build::path(2), cfg);
+  std::vector<std::vector<std::uint64_t>> calls(2);
+  const auto factory = [&calls](std::uint32_t v) {
+    ScriptedSleeper::Script script;
+    if (v == 0) {
+      script.sends = {0};
+      script.halt_at = 2;
+    } else {
+      script.deadlines = {5};
+    }
+    return std::make_unique<ScriptedSleeper>(script, &calls[v]);
+  };
+  const RunOutcome outcome = net.run(factory);
+  EXPECT_EQ(calls[1], (std::vector<std::uint64_t>{0, 1}));
+  EXPECT_EQ(outcome.faults.crashed_nodes, (std::vector<std::uint32_t>{1}));
+  EXPECT_EQ(outcome.metrics.rounds, 3u);
+  expect_same_run(outcome, net.run(no_sleep(factory)), "crash");
+}
+
+TEST(ActiveSet, StallWatchdogFiresWhileEveryNodeSleeps) {
+  NetworkConfig cfg;
+  cfg.stall_window = 4;
+  cfg.trace.enabled = true;
+  const Network net(build::path(3), cfg);
+  const auto factory = [](std::uint32_t) {
+    ScriptedSleeper::Script script;
+    script.deadlines = {100};
+    script.halt_at = 100;
+    return std::make_unique<ScriptedSleeper>(script, nullptr);
+  };
+  const RunOutcome outcome = net.run(factory);
+  EXPECT_EQ(outcome.faults.watchdog_stalls, 1u);
+  EXPECT_EQ(outcome.metrics.rounds, 4u);
+  EXPECT_EQ(outcome.faults.stalled_nodes,
+            (std::vector<std::uint32_t>{0, 1, 2}));
+  expect_same_run(outcome, net.run(no_sleep(factory)), "watchdog");
+}
+
+TEST(ActiveSet, AuditCatchesABrokenPromise) {
+  // Sleeps to round 6 but would send (or draw randomness) in round 3.
+  class Liar final : public NodeProgram {
+   public:
+    explicit Liar(bool draws) : draws_(draws) {}
+    void on_round(NodeApi& api) override {
+      if (api.round() == 3) {
+        if (draws_)
+          (void)api.rng().below(2);
+        else
+          api.send(0, BitVec(1));
+      }
+      if (api.round() >= 6) api.halt();
+      else api.sleep_until(6);
+    }
+
+   private:
+    bool draws_;
+  };
+  for (const bool draws : {false, true}) {
+    const auto factory = [draws](std::uint32_t) {
+      return std::make_unique<Liar>(draws);
+    };
+    NetworkConfig cfg;
+    EXPECT_TRUE(Network(build::path(2), cfg).run(factory).completed);
+    cfg.audit_sleep = true;
+    EXPECT_THROW(Network(build::path(2), cfg).run(factory), CheckFailure);
+    cfg.shard.workers = 2;
+    EXPECT_THROW(Network(build::path(2), cfg).run(factory), CheckFailure);
+  }
+}
+
+TEST(ActiveSet, RandomSleepersMatchTheUnscheduledReference) {
+  // Random hosts, fault-free and faulty: the scheduled run, the audited run
+  // and the unscheduled reference agree on every output, the trace names a
+  // phase for every round (phase_of), and scheduling skips calls.
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    Rng rng(seed);
+    const Graph g = build::gnp(24, 0.15, rng);
+    NetworkConfig cfg;
+    cfg.bandwidth = 8;
+    cfg.seed = seed;
+    cfg.max_rounds = 200;
+    cfg.trace.enabled = true;
+    cfg.trace.timers = true;
+    if (seed % 2 == 0) {
+      cfg.faults.drop = 0.1;
+      cfg.faults.corrupt = 0.1;
+      cfg.faults.crashes = {{3, 7}, {5, 0}};
+    }
+    const std::string label = "seed " + std::to_string(seed);
+    const Network net(g, cfg);
+    const RunOutcome scheduled = net.run(random_sleepers(30));
+    const RunOutcome reference = net.run(no_sleep(random_sleepers(30)));
+    expect_same_run(scheduled, reference, label);
+    EXPECT_LT(scheduled.metrics.timers.node_rounds_invoked,
+              reference.metrics.timers.node_rounds_invoked)
+        << label;
+    for (const auto& row : scheduled.trace.rounds())
+      EXPECT_GE(row.phase, 0) << label << " round " << row.round;
+
+    NetworkConfig audit_cfg = cfg;
+    audit_cfg.audit_sleep = true;
+    expect_same_run(scheduled, Network(g, audit_cfg).run(random_sleepers(30)),
+                    label + " audit");
+  }
+}
+
+TEST(ActiveSet, InvocationCounterReachesTelemetry) {
+  obs::Telemetry telemetry;
+  NetworkConfig cfg;
+  cfg.telemetry = &telemetry;
+  PingScript script;
+  (void)Network(build::path(2), cfg).run(script.factory());
+  EXPECT_EQ(telemetry.counter("sync_node_invocations").value(), 7u);
 }
 
 }  // namespace

@@ -2,17 +2,24 @@
 // baseline and the §6 sublinear C_2k detector (Theorem 1.1). Both are
 // validated against the exhaustive oracle; rejection must always certify a
 // real cycle (one-sided error) and detection must succeed with enough
-// repetitions.
+// repetitions. The detector's sleeps (active-set scheduling) must be
+// unobservable, and its IdSet must agree with std::set.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <set>
+#include <sstream>
+#include <string>
+#include <vector>
 
+#include "congest/network.hpp"
 #include "detect/even_cycle.hpp"
+#include "detect/id_set.hpp"
 #include "detect/pipelined_cycle.hpp"
 #include "graph/builders.hpp"
 #include "graph/oracle.hpp"
 #include "support/mathutil.hpp"
+#include "sleepy_programs.hpp"
 #include "support/rng.hpp"
 
 namespace csd::detect {
@@ -425,6 +432,135 @@ TEST(ModelVariants, DetectorsWorkWithSparseRandomIds) {
   }
   EXPECT_TRUE(pipelined);
   EXPECT_TRUE(even);
+}
+
+// ------------------------------------------- active-set scheduling (§6)
+TEST(EvenCycle, SleepingIsUnobservable) {
+  // The ported detector sleeps through idle rounds. Against the
+  // unscheduled reference (sleep_until hidden) and the audited run it must
+  // give the same outcome, trace and EvenCycleProbe on hosts that exercise
+  // every phase: phase-I queues, the density rejections, propagation.
+  struct Host {
+    Graph g;
+    std::uint32_t k;
+  };
+  Rng rng(12);
+  std::vector<Host> hosts;
+  hosts.push_back({build::polarity_graph(7), 3});
+  hosts.push_back({build::gnp(40, 0.3, rng), 2});
+  hosts.push_back({build::random_tree(200, rng), 2});
+  Graph planted = build::random_tree(120, rng);
+  build::plant_subgraph(planted, build::cycle(6), rng);
+  hosts.push_back({planted, 3});
+  for (std::size_t h = 0; h < hosts.size(); ++h) {
+    const Graph& g = hosts[h].g;
+    EvenCycleConfig cfg;
+    cfg.k = hosts[h].k;
+    congest::NetworkConfig net_cfg;
+    net_cfg.bandwidth = 64;
+    net_cfg.max_rounds =
+        make_even_cycle_schedule(g.num_vertices(), cfg).total_rounds() + 1;
+    net_cfg.trace.enabled = true;
+    net_cfg.trace.timers = true;
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      net_cfg.seed = seed;
+      const std::string label =
+          "host " + std::to_string(h) + " seed " + std::to_string(seed);
+      EvenCycleProbe p_sched, p_ref, p_audit;
+      const congest::Network net(g, net_cfg);
+      const auto sched = net.run(even_cycle_program(cfg, &p_sched));
+      const auto ref =
+          net.run(congest::sleepy::no_sleep(even_cycle_program(cfg, &p_ref)));
+      congest::NetworkConfig audit_cfg = net_cfg;
+      audit_cfg.audit_sleep = true;
+      const auto audit = congest::Network(g, audit_cfg)
+                             .run(even_cycle_program(cfg, &p_audit));
+      for (const auto* other : {&ref, &audit}) {
+        EXPECT_EQ(sched.verdicts, other->verdicts) << label;
+        EXPECT_EQ(sched.completed, other->completed) << label;
+        EXPECT_EQ(sched.metrics.rounds, other->metrics.rounds) << label;
+        EXPECT_EQ(sched.metrics.total_bits, other->metrics.total_bits)
+            << label;
+        std::ostringstream a, b;
+        sched.trace.write_jsonl(a);
+        other->trace.write_jsonl(b);
+        EXPECT_EQ(a.str(), b.str()) << label;
+      }
+      for (const auto* probe : {&p_ref, &p_audit}) {
+        EXPECT_EQ(p_sched.max_phase1_queue, probe->max_phase1_queue) << label;
+        EXPECT_EQ(p_sched.phase1_drained_round, probe->phase1_drained_round)
+            << label;
+        EXPECT_EQ(p_sched.phase1_deadline_reject,
+                  probe->phase1_deadline_reject)
+            << label;
+      }
+      EXPECT_LT(sched.metrics.timers.node_rounds_invoked,
+                ref.metrics.timers.node_rounds_invoked)
+          << label;
+    }
+  }
+}
+
+TEST(EvenCycle, QuietTreeSleepsThroughAlmostEveryRound) {
+  Rng rng(3);
+  const Graph g = build::random_tree(512, rng);
+  EvenCycleConfig cfg;
+  cfg.trace.timers = true;
+  const auto outcome = detect_even_cycle(g, cfg, 64, 7);
+  EXPECT_FALSE(outcome.detected);
+  const std::uint64_t node_rounds = outcome.metrics.rounds * g.num_vertices();
+  EXPECT_LT(outcome.metrics.timers.node_rounds_invoked * 20, node_rounds);
+}
+
+// -------------------------------------------------------------- IdSet
+TEST(IdSet, AgreesWithStdSetAcrossTheDenseSwitch) {
+  for (const std::uint64_t universe : std::vector<std::uint64_t>{
+           64, 1000, 4096, IdSet::kDenseLimit * 2}) {
+    Rng rng(universe);
+    IdSet a, b;
+    a.init(universe);
+    b.init(universe);
+    std::set<std::uint64_t> sa, sb;
+    bool saw_dense = false, saw_sparse = false;
+    for (int step = 0; step < 6000; ++step) {
+      const std::uint64_t op = rng.below(100);
+      const std::uint64_t id = rng.below(std::min<std::uint64_t>(universe,
+                                                                  3000));
+      if (op < 2) {
+        a.clear();
+        sa.clear();
+      } else if (op < 55) {
+        EXPECT_EQ(a.insert(id), sa.insert(id).second);
+      } else if (op < 75) {
+        EXPECT_EQ(b.insert(id), sb.insert(id).second);
+      } else {
+        EXPECT_EQ(a.contains(id), sa.count(id) != 0);
+      }
+      EXPECT_EQ(a.size(), sa.size());
+      bool want = false;
+      for (const auto x : sa) want = want || sb.count(x) != 0;
+      EXPECT_EQ(intersects(a, b), want) << "universe " << universe;
+      EXPECT_EQ(intersects(b, a), want) << "universe " << universe;
+      (a.dense() ? saw_dense : saw_sparse) = true;
+    }
+    EXPECT_TRUE(saw_sparse) << universe;
+    EXPECT_EQ(saw_dense, universe <= IdSet::kDenseLimit) << universe;
+    EXPECT_FALSE(a.contains(universe + 5));
+  }
+}
+
+TEST(IdSet, StartsSparseAndSwitchesWhenTheBitsPayOff) {
+  IdSet s;
+  s.init(1 << 16);  // 8 KiB of bits: worth it from 256 ids on
+  for (std::uint64_t id = 0; id < 255; ++id) s.insert(id * 7);
+  EXPECT_FALSE(s.dense());
+  s.insert(1 << 15);
+  EXPECT_TRUE(s.dense());
+  EXPECT_TRUE(s.contains(7 * 254));
+  EXPECT_EQ(s.size(), 256u);
+  s.clear();
+  EXPECT_FALSE(s.dense());
+  EXPECT_EQ(s.size(), 0u);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 // (driven in-process through csd::cli::run).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -187,6 +188,45 @@ TEST(Cli, ErrorsProduceExitCodeTwo) {
   EXPECT_NE(text.find("error:"), std::string::npos);
   EXPECT_EQ(run_cli({"generate", "cycle"}, &text), 2);  // missing N
   EXPECT_EQ(run_cli({"generate", "gnp", "x", "y", "z"}, &text), 2);
+}
+
+TEST(Cli, HugeVertexCountIsAOneLineErrorNotAnAbort) {
+  // This header once died in an uncaught std::bad_alloc (exit 134).
+  const auto path =
+      (std::filesystem::temp_directory_path() / "csd_cli_huge.graph").string();
+  {
+    std::ofstream os(path);
+    os << "4294967295 1\n0 1\n";
+  }
+  std::ostringstream out, err;
+  EXPECT_EQ(cli::run({"stats", path}, out, err), 2);
+  const std::string message = err.str();
+  EXPECT_EQ(message.rfind("error: ", 0), 0u) << message;
+  EXPECT_EQ(std::count(message.begin(), message.end(), '\n'), 1) << message;
+  std::remove(path.c_str());
+}
+
+TEST(Cli, AuditSleepIsIdenticalAndGuarded) {
+  const auto path =
+      (std::filesystem::temp_directory_path() / "csd_cli_audit.graph").string();
+  std::string text;
+  ASSERT_EQ(run_cli({"generate", "tree", "40", "3", "--out", path}, &text), 0);
+  std::string plain, audited;
+  ASSERT_EQ(run_cli({"detect", "cycle", "4", path, "--reps", "3"}, &plain), 0);
+  ASSERT_EQ(run_cli({"detect", "cycle", "4", path, "--reps", "3",
+                     "--audit-sleep"},
+                    &audited),
+            0);
+  EXPECT_EQ(plain, audited);
+  ASSERT_EQ(run_cli({"detect", "cycle", "4", path, "--timers"}, &text), 0);
+  EXPECT_NE(text.find("node program calls"), std::string::npos);
+  // Only the even-cycle detector sleeps; the async engine never skips.
+  EXPECT_EQ(run_cli({"detect", "triangle", path, "--audit-sleep"}, &text), 2);
+  EXPECT_EQ(run_cli({"detect", "cycle", "4", path, "--drop", "0.1",
+                     "--audit-sleep"},
+                    &text),
+            2);
+  std::remove(path.c_str());
 }
 
 TEST(Cli, DetectWithFaultFlagsRunsAsyncEngine) {

@@ -18,6 +18,7 @@
 #include "fuzz/generator.hpp"
 #include "graph/builders.hpp"
 #include "obs/metrics.hpp"
+#include "sleepy_programs.hpp"
 #include "support/rng.hpp"
 #include "support/wire.hpp"
 
@@ -521,6 +522,51 @@ TEST(Shard, StallWindowFiresIdentically) {
   shard_cfg.shard.workers = 3;
   const Network net(g, shard_cfg);
   expect_outcomes_identical(reference, net.run(factory), "stall");
+}
+
+TEST(Shard, SleepingProgramsBitIdenticalAtEveryWorkersAndJobs) {
+  // Active-set scheduling per worker lane: sleeps, frame wakes across
+  // worker boundaries, faults and crash rounds inside sleeps, with and
+  // without the audit, all bit-identical to the classic loop.
+  Rng rng(31);
+  const Graph g = build::gnp(40, 0.1, rng);
+  NetworkConfig cfg;
+  cfg.bandwidth = 8;
+  cfg.max_rounds = 120;
+  cfg.seed = 9;
+  cfg.trace.enabled = true;
+  for (const bool faulty : {false, true}) {
+    NetworkConfig base = cfg;
+    if (faulty) {
+      base.faults.drop = 0.1;
+      base.faults.corrupt = 0.05;
+      base.faults.crashes = {{4, 6}, {11, 13}};
+    }
+    AmplifyOptions opts;
+    opts.jobs = 1;
+    opts.early_exit = false;
+    const RunOutcome reference =
+        run_amplified(g, base, sleepy::random_sleepers(24), 4, opts);
+    for (const std::uint32_t w_count : {1u, 2u, 8u}) {
+      for (const unsigned jobs : {1u, 4u}) {
+        for (const bool audit : {false, true}) {
+          NetworkConfig shard_cfg = base;
+          shard_cfg.shard.workers = w_count;
+          shard_cfg.audit_sleep = audit;
+          AmplifyOptions sharded_opts = opts;
+          sharded_opts.jobs = jobs;
+          expect_outcomes_identical(
+              reference,
+              run_amplified(g, shard_cfg, sleepy::random_sleepers(24), 4,
+                            sharded_opts),
+              std::string(faulty ? "faulty " : "") +
+                  "W=" + std::to_string(w_count) +
+                  " jobs=" + std::to_string(jobs) +
+                  (audit ? " audit" : ""));
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

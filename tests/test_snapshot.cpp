@@ -15,6 +15,7 @@
 #include "obs/json.hpp"
 #include "obs/metrics_series.hpp"
 #include "obs/metrics_v2.hpp"
+#include "sleepy_programs.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
 
@@ -134,6 +135,76 @@ TEST(SyncCheckpoint, ResumeIsBitIdentical) {
             full.metrics.bits_sent_by_node);
   expect_reports_equal(resumed.faults, full.faults);
   expect_trace_suffix_equal(full.trace, resumed.trace, 4);
+}
+
+TEST(SyncCheckpoint, MidSleepSnapshotResumesAndMatchesTheUnscheduledOne) {
+  // Node 1 sleeps from round 1 to round 5; the snapshot at round 3 is
+  // taken while it sleeps. Scheduling leaves no trace in the snapshot: it
+  // is byte-identical to the unscheduled run's, and resuming it (on the
+  // classic loop and on the sharded one) reproduces the run.
+  const auto factory = [](std::uint32_t v) {
+    sleepy::ScriptedSleeper::Script script;
+    if (v == 0) {
+      script.sends = {0, 4};
+      script.deadlines = {4};
+    } else {
+      script.deadlines = {5};
+      script.reject_after = 2;
+    }
+    return std::make_unique<sleepy::ScriptedSleeper>(script, nullptr);
+  };
+  NetworkConfig cfg;
+  cfg.trace.enabled = true;
+  cfg.checkpoint_at_round = 3;
+  const Network net(build::path(2), cfg);
+  const auto full = net.run(factory);
+  ASSERT_NE(full.checkpoint, nullptr);
+  const auto reference = net.run(sleepy::no_sleep(factory));
+  ASSERT_NE(reference.checkpoint, nullptr);
+  EXPECT_EQ(to_json(*full.checkpoint).dump(),
+            to_json(*reference.checkpoint).dump());
+  for (const std::uint32_t workers : {0u, 2u}) {
+    NetworkConfig resume_cfg = cfg;
+    resume_cfg.shard.workers = workers;
+    const auto resumed =
+        Network(build::path(2), resume_cfg).resume(factory, *full.checkpoint);
+    EXPECT_TRUE(resumed.detected);
+    EXPECT_EQ(resumed.verdicts, full.verdicts);
+    EXPECT_EQ(resumed.metrics.rounds, full.metrics.rounds);
+    EXPECT_EQ(resumed.metrics.messages, full.metrics.messages);
+    expect_reports_equal(resumed.faults, full.faults);
+    expect_trace_suffix_equal(full.trace, resumed.trace, 3);
+  }
+}
+
+TEST(SyncCheckpoint, SleepingProgramsResumeBitIdenticallyUnderFaults) {
+  Rng rng(6);
+  const Graph g = build::gnp(20, 0.2, rng);
+  const auto factory = sleepy::random_sleepers(20);
+  for (const std::uint64_t at : {1u, 4u, 9u, 15u}) {
+    NetworkConfig cfg = faulty_sync_config();
+    cfg.checkpoint_at_round = at;
+    const Network net(g, cfg);
+    const auto full = net.run(factory);
+    ASSERT_NE(full.checkpoint, nullptr) << at;
+    NetworkConfig audit_cfg = cfg;
+    audit_cfg.audit_sleep = true;
+    const auto audited = Network(g, audit_cfg).run(factory);
+    ASSERT_NE(audited.checkpoint, nullptr) << at;
+    EXPECT_EQ(to_json(*full.checkpoint).dump(),
+              to_json(*audited.checkpoint).dump())
+        << at;
+    const auto resumed = net.resume(factory, *full.checkpoint);
+    EXPECT_EQ(resumed.verdicts, full.verdicts) << at;
+    EXPECT_EQ(resumed.completed, full.completed) << at;
+    EXPECT_EQ(resumed.metrics.rounds, full.metrics.rounds) << at;
+    EXPECT_EQ(resumed.metrics.total_bits, full.metrics.total_bits) << at;
+    EXPECT_EQ(resumed.metrics.bits_sent_by_node,
+              full.metrics.bits_sent_by_node)
+        << at;
+    expect_reports_equal(resumed.faults, full.faults);
+    expect_trace_suffix_equal(full.trace, resumed.trace, at);
+  }
 }
 
 TEST(SyncCheckpoint, ResumeStaysBitIdenticalWithTelemetryAttached) {

@@ -63,6 +63,7 @@ commands:
          [--resume FILE] [--supervised] [--deadline MS] [--round-budget R]
          [--retries K] [--max-reps-per-call M]
          [--workers W] [--shard-policy range|hash] [--shard-counters]
+         [--audit-sleep]
          [--metrics-out FILE] [--metrics-period MS] [--blackbox FILE]
       pattern: cycle L | triangle | clique S | star D
       runs the matching CONGEST algorithm and the exhaustive oracle.
@@ -72,7 +73,8 @@ commands:
       per-round JSONL trace (both bit-identical for every --jobs count),
       stamped with the instance parameters for `csd analyze`. --per-edge
       adds per-edge congestion records to the trace; --timers reports
-      engine-internal wall-clock time (compute vs delivery vs transport).
+      engine-internal wall-clock time (compute vs delivery vs transport)
+      and how many node programs the engine called.
       fault flags (drop/corrupt probabilities in [0,1], --crash repeatable,
       --transport raw|reliable) run the async engine under the given
       FaultPlan and print a structured fault report. --recover lets
@@ -94,6 +96,10 @@ commands:
       --shard-counters surfaces per-worker channel frame/byte counters in
       the metrics and the trace summary (off by default: the counters are
       worker-count-dependent by nature).
+      --audit-sleep (synchronous engine; cycle 2k, or any pattern with
+      --supervised) runs nodes that declared themselves asleep anyway and
+      fails if such a call sends, draws randomness, rejects or halts;
+      every output is identical with and without it.
       telemetry flags (csd-metrics-v2): --metrics-out FILE samples every
       live counter/gauge/histogram into append-only JSONL every
       --metrics-period ms (default 250); --blackbox FILE arms the flight
@@ -172,7 +178,7 @@ Invocation parse(const std::vector<std::string>& args) {
       // Boolean flags take no value; value flags consume the next token.
       if (name == "dimacs" || name == "per-edge" || name == "timers" ||
           name == "recover" || name == "supervised" ||
-          name == "shard-counters") {
+          name == "shard-counters" || name == "audit-sleep") {
         inv.flags.emplace_back(name, "1");
       } else {
         CSD_CHECK_MSG(i + 1 < args.size(), "flag --" << name
@@ -184,6 +190,16 @@ Invocation parse(const std::vector<std::string>& args) {
     }
   }
   return inv;
+}
+
+void print_timers(std::ostream& out, const obs::EngineTimers& timers) {
+  const auto ms = [](std::uint64_t ns) {
+    return static_cast<double>(ns) / 1e6;
+  };
+  out << "timers:     compute " << ms(timers.compute_ns) << " ms, delivery "
+      << ms(timers.delivery_ns) << " ms, transport "
+      << ms(timers.transport_ns) << " ms, " << timers.node_rounds_invoked
+      << " node program calls\n";
 }
 
 std::uint64_t to_u64(const std::string& s, const char* what) {
@@ -624,11 +640,7 @@ int cmd_detect_faulty(const Invocation& inv, std::ostream& out, const Graph& g,
   if (detected && !truth) out << "WARNING: false positive (model bug?)\n";
   if (!detected && truth)
     out << "note: faults can mask the pattern; try --transport reliable\n";
-  if (total_timers.enabled)
-    out << "timers:     compute " << total_timers.compute_ns / 1000000.0
-        << " ms, delivery " << total_timers.delivery_ns / 1000000.0
-        << " ms, transport " << total_timers.transport_ns / 1000000.0
-        << " ms\n";
+  if (total_timers.enabled) print_timers(out, total_timers);
 
   if (trace_path) {
     merged_trace.set_meta("program", pattern);
@@ -703,6 +715,7 @@ int cmd_detect_supervised(const Invocation& inv, std::ostream& out,
   cfg.trace.timers = inv.has_flag("timers");
 
   cfg.shard = parse_shard(inv);
+  cfg.audit_sleep = inv.has_flag("audit-sleep");
   const auto session = make_telemetry(inv);
   cfg.telemetry = session ? session->get() : nullptr;
 
@@ -877,9 +890,19 @@ int cmd_detect(const Invocation& inv, std::ostream& out) {
                   "--workers drives the synchronous engine; the fault flags "
                   "select the async one (use --supervised to combine "
                   "sharding with faults)");
+    CSD_CHECK_MSG(!inv.has_flag("audit-sleep"),
+                  "--audit-sleep audits the synchronous engine; the fault "
+                  "flags select the async one, which runs every node every "
+                  "pulse (use --supervised to audit under faults)");
     return cmd_detect_faulty(inv, out, g, pattern, bandwidth, seed, reps);
   }
   const congest::ShardSpec shard = parse_shard(inv);
+  CSD_CHECK_MSG(!inv.has_flag("audit-sleep") ||
+                    (pattern == "cycle" && inv.positional.size() == 4 &&
+                     to_u64(inv.positional[2], "L") >= 4 &&
+                     to_u64(inv.positional[2], "L") % 2 == 0),
+                "--audit-sleep: only the even-cycle detector sleeps (use "
+                "--supervised to audit other patterns)");
   const auto session = make_telemetry(inv);
   obs::Telemetry* const telemetry = session ? session->get() : nullptr;
 
@@ -911,6 +934,7 @@ int cmd_detect(const Invocation& inv, std::ostream& out) {
       cfg.trace = trace_opts;
       cfg.shard = shard;
       cfg.telemetry = telemetry;
+      cfg.audit_sleep = inv.has_flag("audit-sleep");
       program = "even_cycle";
       outcome = detect::detect_even_cycle(g, cfg, bandwidth, seed);
       out << "algorithm:  Theorem 1.1 sublinear C_" << len << " detector\n";
@@ -966,12 +990,8 @@ int cmd_detect(const Invocation& inv, std::ostream& out) {
   if (detected && !truth) out << "WARNING: false positive (model bug?)\n";
   if (!detected && truth)
     out << "note: randomized detectors are one-sided; raise --reps\n";
-  if (outcome.metrics.timers.enabled) {
-    const auto& timers = outcome.metrics.timers;
-    out << "timers:     compute " << timers.compute_ns / 1000000.0
-        << " ms, delivery " << timers.delivery_ns / 1000000.0
-        << " ms, transport " << timers.transport_ns / 1000000.0 << " ms\n";
-  }
+  if (outcome.metrics.timers.enabled)
+    print_timers(out, outcome.metrics.timers);
   if (session) {
     if (!outcome.faults.violations.empty())
       session->dump("fault-violation", out);
@@ -1507,7 +1527,9 @@ int run(const std::vector<std::string>& args, std::ostream& out,
     if (command == "fuzz") return cmd_fuzz(inv, out);
     err << "unknown command '" << command << "'\n" << kUsage;
     return 1;
-  } catch (const CheckFailure& failure) {
+  } catch (const std::exception& failure) {
+    // CheckFailure (flag and input validation) and anything the standard
+    // library throws (e.g. std::bad_alloc) alike: one line, exit 2.
     err << "error: " << failure.what() << '\n';
     return 2;
   }

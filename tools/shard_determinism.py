@@ -22,6 +22,12 @@ Both policies are exercised: range on the even-cycle instance, hash on
 the triangle instance (and vice versa on a second pass of each), so a
 policy-dependent merge bug cannot hide behind a lucky partition.
 
+Audit cells: on the even-cycle instance (the detector that sleeps through
+idle rounds) every (workers, jobs) cell, classic engine included, runs
+once more with --audit-sleep, which calls sleeping nodes anyway and fails
+the run if such a call does anything. Its digests must match the
+reference too — active-set scheduling is unobservable.
+
 --telemetry attaches the csd-metrics-v2 plane (--metrics-out sampler +
 --blackbox flight recorder, DESIGN.md §14) to every matrix cell while
 the classic reference stays uninstrumented — matching digests then also
@@ -64,7 +70,8 @@ def raw_digest(path: Path) -> str:
 
 def detect_cell(csd: str, instance: dict, workdir: Path, workers: int,
                 jobs: int, policy: str, tag: str,
-                telemetry: bool = False) -> tuple[str, str]:
+                telemetry: bool = False,
+                audit: bool = False) -> tuple[str, str]:
     """Run one matrix cell; return (json digest, trace digest)."""
     json_path = workdir / f"{tag}.json"
     trace_path = workdir / f"{tag}.jsonl"
@@ -74,6 +81,8 @@ def detect_cell(csd: str, instance: dict, workdir: Path, workers: int,
            "--json", str(json_path), "--trace", str(trace_path)]
     if workers != 0:
         cmd += ["--workers", str(workers), "--shard-policy", policy]
+    if audit:
+        cmd += ["--audit-sleep"]
     if telemetry:
         cmd += ["--metrics-out", str(workdir / f"{tag}.metrics.jsonl"),
                 "--metrics-period", "50",
@@ -118,42 +127,49 @@ def main() -> int:
     run([args.csd, "generate", "gnp", "96", "8", "3", "--out", str(sparse)])
     instances = [
         {"name": "thm11_even_cycle", "pattern": ["cycle", "4"],
-         "graph": forest, "reps": args.reps},
+         "graph": forest, "reps": args.reps, "sleeps": True},
         {"name": "triangle", "pattern": ["triangle"],
-         "graph": sparse, "reps": 1},
+         "graph": sparse, "reps": 1, "sleeps": False},
     ]
 
     failures = 0
+    cells = 0
     for instance in instances:
         ref = detect_cell(args.csd, instance, workdir, 0, 1, "range",
                           f"{instance['name']}-ref")
         print(f"{instance['name']}: reference (classic engine) "
               f"json={ref[0][:12]} trace={ref[1][:12]}")
-        for w in workers:
-            for j in jobs:
-                for policy in ("range", "hash"):
-                    tag = f"{instance['name']}-w{w}-j{j}-{policy}"
-                    cell = detect_cell(args.csd, instance, workdir, w, j,
-                                       policy, tag,
-                                       telemetry=args.telemetry)
-                    ok = cell == ref
-                    status = "ok" if ok else "MISMATCH"
-                    print(f"  workers={w} jobs={j} policy={policy}: {status}")
-                    if not ok:
-                        failures += 1
-                        if cell[0] != ref[0]:
-                            print(f"    json:  {ref[0]} -> {cell[0]}",
-                                  file=sys.stderr)
-                        if cell[1] != ref[1]:
-                            print(f"    trace: {ref[1]} -> {cell[1]}",
-                                  file=sys.stderr)
+        matrix = [(w, j, policy, False) for w in workers for j in jobs
+                  for policy in ("range", "hash")]
+        if instance["sleeps"]:
+            matrix += [(w, j, "range", True) for w in [0, *workers]
+                       for j in jobs]
+        for w, j, policy, audit in matrix:
+            tag = f"{instance['name']}-w{w}-j{j}-{policy}"
+            if audit:
+                tag += "-audit"
+            cell = detect_cell(args.csd, instance, workdir, w, j,
+                               policy, tag,
+                               telemetry=args.telemetry, audit=audit)
+            cells += 1
+            ok = cell == ref
+            status = "ok" if ok else "MISMATCH"
+            print(f"  workers={w} jobs={j} policy={policy}"
+                  f"{' audit-sleep' if audit else ''}: {status}")
+            if not ok:
+                failures += 1
+                if cell[0] != ref[0]:
+                    print(f"    json:  {ref[0]} -> {cell[0]}",
+                          file=sys.stderr)
+                if cell[1] != ref[1]:
+                    print(f"    trace: {ref[1]} -> {cell[1]}",
+                          file=sys.stderr)
 
     if failures:
         print(f"FAIL: {failures} matrix cell(s) diverged from the classic "
-              f"engine — the sharded engine broke bit-identity",
+              f"engine — sharding or the sleep audit broke bit-identity",
               file=sys.stderr)
         return 1
-    cells = len(instances) * len(workers) * len(jobs) * 2
     suffix = " (telemetry attached)" if args.telemetry else ""
     print(f"OK: {cells} matrix cell(s) bit-identical to the classic "
           f"engine{suffix}")
