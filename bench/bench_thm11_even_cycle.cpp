@@ -41,15 +41,15 @@ unsigned parse_jobs(int argc, char** argv) {
   return 1;
 }
 
-/// `--workers W` runs each live repetition on the sharded superstep engine
-/// (congest/shard.hpp; 0 = classic loop). Every reported number is
-/// bit-identical for every W — the flag only changes wall-clock — so the
-/// model-level baseline comparison stays exact.
+/// `--workers W` runs each live repetition on W superstep worker threads
+/// (default 1, inline). Every reported number is bit-identical for every
+/// W — the flag only changes wall-clock — so the model-level baseline
+/// comparison stays exact.
 unsigned parse_workers(int argc, char** argv) {
   for (int i = 1; i + 1 < argc; ++i)
     if (std::strcmp(argv[i], "--workers") == 0)
       return static_cast<unsigned>(std::strtoul(argv[i + 1], nullptr, 10));
-  return 0;
+  return 1;
 }
 
 }  // namespace

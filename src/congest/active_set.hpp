@@ -1,5 +1,5 @@
-// Internal: active-set scheduling shared by the synchronous engines (the
-// classic loop in network.cpp and the shard workers in shard.cpp).
+// Internal: active-set scheduling for the synchronous engine's workers
+// (network.cpp).
 //
 // Pregel's vote-to-halt with wake-on-message, made round-addressed: a node
 // that calls NodeApi::sleep_until(R) is not run again before round R unless
@@ -10,10 +10,9 @@
 // used, so violations, crashes, fault-fate draws and trace rows keep their
 // order. A snapshot resume wakes every live node.
 //
-// The set is split into lanes (one per shard worker; the classic loop uses
-// one). Each lane keeps its own due list and deadline buckets; the per-node
-// arrays are shared, but a lane only ever touches its own nodes, so lanes
-// run concurrently without locks.
+// The set is split into lanes, one per worker. Each lane keeps its own due
+// list and deadline buckets; the per-node arrays are shared, but a lane
+// only ever touches its own nodes, so lanes run concurrently without locks.
 #pragma once
 
 #include <cstdint>

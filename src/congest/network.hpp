@@ -89,12 +89,12 @@ struct NetworkConfig {
   /// the run (FaultReport::watchdog_stalls = 1, stragglers recorded as
   /// stalled) instead of spinning to max_rounds. 0 = disabled.
   std::uint64_t stall_window = 0;
-  /// Sharded superstep execution (congest/shard.hpp): workers == 0 keeps
-  /// the classic single-loop engine, workers >= 1 partitions the nodes
-  /// across that many worker threads. Every outcome field is bit-identical
-  /// at every worker count; sharding is an execution strategy, not part of
-  /// the model, and is therefore excluded from config_digest() (snapshots
-  /// resume across worker counts).
+  /// Superstep execution (congest/partition.hpp): the nodes are
+  /// partitioned across shard.workers worker threads (default 1: the
+  /// engine runs inline on the calling thread; 0 is refused). Every outcome
+  /// field is bit-identical at every worker count; sharding is an execution
+  /// strategy, not part of the model, and is therefore excluded from
+  /// config_digest() (snapshots resume across worker counts).
   ShardSpec shard;
   /// Audit active-set scheduling (NodeApi::sleep_until): run sleeping
   /// nodes anyway and CHECK that each such call sends nothing, draws no
@@ -201,6 +201,14 @@ struct RunOutcome {
 /// `config().on_message` are themselves safe to invoke concurrently (the
 /// library's program factories are: they capture configs by value and
 /// allocate fresh programs). This is what RunBatch builds on.
+///
+/// The round loop is a superstep engine (network.cpp). At the default
+/// shard.workers = 1 it runs on the calling thread and every observer is
+/// called there, in the order messages are sent. At W >= 2 the node
+/// programs of one run execute concurrently on W threads, so a custom
+/// ProgramFactory must not share mutable state between its program
+/// instances (the library's never do); observers are still called on the
+/// calling thread, in the same order.
 class Network {
  public:
   /// Identifiers default to the topology index (ids[v] = v).
@@ -231,20 +239,6 @@ class Network {
   const Graph& topology() const noexcept { return topology_; }
   const std::vector<NodeId>& ids() const noexcept { return ids_; }
   const NetworkConfig& config() const noexcept { return config_; }
-
-  // Engine plumbing shared with the sharded superstep engine
-  // (congest/shard.cpp): the materialized CSR view and the flat tables
-  // over its dense directed-edge index e = csr().offsets[v] + port.
-  const GraphCsr& csr() const noexcept { return *csr_; }
-  const std::vector<std::uint32_t>& rev_port() const noexcept {
-    return rev_port_;
-  }
-  const std::vector<std::uint64_t>& rev_edge() const noexcept {
-    return rev_edge_;
-  }
-  const std::vector<NodeId>& neighbor_ids_flat() const noexcept {
-    return neighbor_ids_flat_;
-  }
 
  private:
   void build_topology_tables();

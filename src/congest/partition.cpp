@@ -37,6 +37,11 @@ Partition Partition::build(const GraphCsr& csr, std::uint32_t workers,
   Partition part;
   part.workers_ = workers;
   part.policy_ = policy;
+  part.num_vertices_ = n;
+  if (workers == 1) {
+    part.owned_edges_.assign(1, csr.num_directed_edges());
+    return part;
+  }
   part.owner_.resize(n);
   part.owned_.assign(workers, {});
   part.owned_edges_.assign(workers, 0);

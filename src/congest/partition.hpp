@@ -1,11 +1,13 @@
-// Deterministic node-to-worker partitioning for the sharded superstep
-// engine (congest/shard.cpp).
+// Deterministic node-to-worker partitioning for the synchronous superstep
+// engine (Network::run_impl, congest/network.cpp).
 //
 // A Partition is a pure function of (topology, workers, policy): no seeds,
 // no wall clock, no platform dependence. That purity is what lets the
-// sharded engine promise bit-identical outcomes at every worker count — the
+// engine promise bit-identical outcomes at every worker count — the
 // partition only decides *which thread* executes a node and *which channel*
 // carries a frame, never what the node computes or what the frame says.
+// With one worker (the default) there is nothing to decide: build() does no
+// O(n) or O(m) work and keeps no tables.
 //
 // Two policies, mirroring the standard Pregel choices:
 //   * Hash  — owner(v) = mix64(v) mod W. Stateless, balanced in
@@ -18,13 +20,13 @@
 //     usually cuts far fewer edges than Hash.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <functional>
+#include <iterator>
 #include <string_view>
 #include <vector>
 
 #include "graph/graph.hpp"
-#include "support/bitvec.hpp"
 
 namespace csd::congest {
 
@@ -34,70 +36,15 @@ std::string_view to_string(PartitionPolicy policy);
 /// Parse "range" / "hash" (exact, lowercase). Returns false on anything else.
 bool parse_partition_policy(std::string_view text, PartitionPolicy& out);
 
-/// One (src_worker, dst_worker) frame batch, exchanged at the superstep
-/// barrier. Structure-of-arrays over the first `used` entries: `edges[i]`
-/// is the dense directed-edge index of the send (CSR offsets[src] + port)
-/// and `payloads[i]` the post-fault payload exactly as the receiver will
-/// see it. The engine fills channels in ascending edge order and drains
-/// them in (src_worker, edge) order — the merge-order rule that makes the
-/// exchange deterministic. `payloads` is high-water sized so BitVec heap
-/// buffers recycle across rounds instead of reallocating.
-struct ShardChannel {
-  std::vector<std::uint64_t> edges;
-  std::vector<BitVec> payloads;
-  std::size_t used = 0;
-
-  /// Append a frame, swapping the payload out of `slot` (the sender's
-  /// arena slot donates its buffer; the channel's retired buffer, if any,
-  /// lands back in the slot).
-  void push(std::uint64_t edge, BitVec& slot) {
-    if (used == payloads.size()) {
-      edges.push_back(edge);
-      payloads.emplace_back();
-    } else {
-      edges[used] = edge;
-    }
-    std::swap(payloads[used], slot);
-    ++used;
-  }
-  void reset() noexcept { used = 0; }
-};
-
-/// One worker's channel traffic in one superstep, sampled for the
-/// aggregator hook (ShardSpec::on_superstep).
-struct ShardSuperstepStats {
-  std::uint64_t round = 0;
-  std::uint32_t worker = 0;
-  /// Frames / payload bits this worker pushed onto cross-worker channels.
-  std::uint64_t channel_frames = 0;
-  std::uint64_t channel_bits = 0;
-  /// Frames it delivered worker-locally (both endpoints owned).
-  std::uint64_t local_frames = 0;
-  /// Vote-to-halt: every owned node was halted or crashed this superstep.
-  bool voted_halt = false;
-};
-
-/// Sharded-execution knobs, carried by NetworkConfig. Sharding is an
+/// Superstep-execution knobs, carried by NetworkConfig. Sharding is an
 /// execution strategy, not part of the model: it is deliberately excluded
 /// from Network::config_digest(), so csd-ckpt-v1 snapshots resume across
 /// worker counts and every outcome field is bit-identical at any W.
 struct ShardSpec {
-  /// 0 = classic single-loop sync engine; W >= 1 = sharded superstep
-  /// engine with W workers (W = 1 still runs the full superstep machinery
-  /// on the calling thread — that is the equivalence anchor the tests pin).
-  std::uint32_t workers = 0;
+  /// Worker threads, >= 1. W = 1 runs the engine inline on the calling
+  /// thread; 0 is refused (Partition::build CHECKs it).
+  std::uint32_t workers = 1;
   PartitionPolicy policy = PartitionPolicy::Range;
-  /// Optional combiner: invoked once per non-empty outgoing channel after
-  /// the outbox scan, before the barrier. May rewrite payloads in place
-  /// (e.g. transport-level compression) but must preserve the frame
-  /// semantics — the engine re-sorts the channel by edge index afterwards,
-  /// so reordering is allowed, dropping or inventing frames is not.
-  std::function<void(std::uint32_t src_worker, std::uint32_t dst_worker,
-                     ShardChannel& channel)>
-      combiner;
-  /// Optional aggregator: observes per-worker superstep stats at the
-  /// barrier, invoked on the coordinating thread in (round, worker) order.
-  std::function<void(const ShardSuperstepStats&)> on_superstep;
   /// Surface per-worker channel traffic as engine counters
   /// (shard_channel_frames_w*/shard_channel_bytes_w*) in
   /// RunMetrics::counters and hence the trace summary. Off by default:
@@ -106,7 +53,55 @@ struct ShardSpec {
   bool channel_counters = false;
 };
 
-/// Immutable node-to-worker assignment. Built once per run; O(n) memory.
+/// The vertices one worker owns, ascending: a stored list, or all of
+/// [0, n) for a single worker, which keeps no list.
+class OwnedVertices {
+ public:
+  class iterator {
+   public:
+    using iterator_category = std::forward_iterator_tag;
+    using value_type = Vertex;
+    using difference_type = std::ptrdiff_t;
+    using pointer = const Vertex*;
+    using reference = Vertex;
+
+    iterator() = default;
+    iterator(const Vertex* list, std::size_t i) : list_(list), i_(i) {}
+    Vertex operator*() const noexcept {
+      return list_ != nullptr ? list_[i_] : static_cast<Vertex>(i_);
+    }
+    iterator& operator++() noexcept {
+      ++i_;
+      return *this;
+    }
+    iterator operator++(int) noexcept {
+      iterator before = *this;
+      ++i_;
+      return before;
+    }
+    bool operator==(const iterator& other) const noexcept {
+      return i_ == other.i_;
+    }
+
+   private:
+    const Vertex* list_ = nullptr;
+    std::size_t i_ = 0;
+  };
+
+  OwnedVertices(const Vertex* list, std::size_t size)
+      : list_(list), size_(size) {}
+  iterator begin() const noexcept { return {list_, 0}; }
+  iterator end() const noexcept { return {list_, size_}; }
+  std::size_t size() const noexcept { return size_; }
+
+ private:
+  const Vertex* list_;
+  std::size_t size_;
+};
+
+/// Immutable node-to-worker assignment. Built once per run: O(n + m) time
+/// and O(n) memory for W >= 2; a single worker owns everything and costs
+/// O(1) (no tables).
 class Partition {
  public:
   /// `workers` >= 1. Vertices with no owner never exist: owner(v) < workers
@@ -116,13 +111,19 @@ class Partition {
 
   std::uint32_t workers() const noexcept { return workers_; }
   PartitionPolicy policy() const noexcept { return policy_; }
-  std::uint32_t owner(Vertex v) const noexcept { return owner_[v]; }
-  const std::vector<std::uint32_t>& owners() const noexcept { return owner_; }
+  std::uint32_t owner(Vertex v) const noexcept {
+    return owner_.empty() ? 0 : owner_[v];
+  }
+  /// owner(v) for every v as a flat table; null for a single worker.
+  const std::uint32_t* owner_table() const noexcept {
+    return owner_.empty() ? nullptr : owner_.data();
+  }
   /// Vertices owned by `w`, ascending. The engine iterates these in order —
-  /// together with the channel merge-order rule this reproduces the classic
-  /// engine's global ascending-vertex order exactly.
-  const std::vector<Vertex>& owned(std::uint32_t w) const noexcept {
-    return owned_[w];
+  /// together with the channel merge-order rule this reproduces one
+  /// worker's global ascending-vertex order exactly.
+  OwnedVertices owned(std::uint32_t w) const noexcept {
+    if (workers_ == 1) return {nullptr, num_vertices_};
+    return {owned_[w].data(), owned_[w].size()};
   }
   /// Directed edges whose source is owned by `w` (the per-worker share of
   /// the dense edge index; these shares partition [0, num_directed_edges)).
@@ -139,6 +140,7 @@ class Partition {
  private:
   std::uint32_t workers_ = 1;
   PartitionPolicy policy_ = PartitionPolicy::Range;
+  Vertex num_vertices_ = 0;
   std::vector<std::uint32_t> owner_;
   std::vector<std::vector<Vertex>> owned_;
   std::vector<std::uint64_t> owned_edges_;

@@ -53,8 +53,8 @@ struct EvenCycleConfig {
   /// Per-round observability; the amplified outcome carries the traces of
   /// all executed repetitions appended in repetition order.
   obs::TraceOptions trace;
-  /// Sharded superstep execution of each repetition (congest/shard.hpp);
-  /// workers == 0 keeps the classic engine. Bit-identical either way.
+  /// Worker threads of each repetition's run (congest/partition.hpp;
+  /// default 1, inline). Bit-identical at every worker count.
   congest::ShardSpec shard;
   /// Run sleeping nodes anyway and CHECK they keep the sleep promise
   /// (NetworkConfig::audit_sleep); identical outcome, unscheduled cost.

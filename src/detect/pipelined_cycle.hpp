@@ -31,8 +31,8 @@ struct PipelinedCycleConfig {
   congest::AmplifyOptions amplify;
   /// Per-round observability for every repetition's run.
   obs::TraceOptions trace;
-  /// Sharded superstep execution of each repetition (congest/shard.hpp);
-  /// workers == 0 keeps the classic engine. Bit-identical either way.
+  /// Worker threads of each repetition's run (congest/partition.hpp;
+  /// default 1, inline). Bit-identical at every worker count.
   congest::ShardSpec shard;
   /// Optional csd-metrics-v2 plane, forwarded to every repetition's engine
   /// (non-owning, write-only; nullptr = zero cost).

@@ -527,7 +527,7 @@ std::optional<Divergence> check_case(const FuzzCase& c,
     }
   }
 
-  // -- sharded engine: bit-identical to the classic loop at every W ---------
+  // -- worker count: W >= 2 bit-identical to the default W = 1 run ---------
   {
     const std::uint64_t rep_seed = derive_seed(c.seed, 0x5eedULL);
     const congest::RunOutcome& reference = sync_reps[0];
@@ -536,9 +536,9 @@ std::optional<Divergence> check_case(const FuzzCase& c,
       congest::PartitionPolicy policy;
     };
     for (const ShardCell cell :
-         {ShardCell{1, congest::PartitionPolicy::Range},
-          ShardCell{2, congest::PartitionPolicy::Hash},
-          ShardCell{5, congest::PartitionPolicy::Range}}) {
+         {ShardCell{2, congest::PartitionPolicy::Hash},
+          ShardCell{5, congest::PartitionPolicy::Range},
+          ShardCell{8, congest::PartitionPolicy::Range}}) {
       congest::NetworkConfig cfg = sync_cfg;
       cfg.shard.workers = cell.workers;
       cfg.shard.policy = cell.policy;
@@ -547,24 +547,24 @@ std::optional<Divergence> check_case(const FuzzCase& c,
       if (!(digest(sharded) == digest(reference)) ||
           trace_bytes(sharded.trace) != trace_bytes(reference.trace)) {
         std::ostringstream os;
-        os << "sharded engine at W=" << cell.workers << " ("
-           << to_string(cell.policy) << ") differs from the classic loop "
+        os << "engine at W=" << cell.workers << " ("
+           << to_string(cell.policy) << ") differs from W=1 "
            << "(detected " << sharded.detected << "/" << reference.detected
            << ", bits " << sharded.metrics.total_bits << "/"
            << reference.metrics.total_bits << ")";
         return diverge("shard-equivalence", os);
       }
       if (cell.workers == 2 && reference.metrics.rounds >= 2) {
-        // Checkpoint/kill/resume entirely through the sharded loop...
+        // Checkpoint/kill/resume entirely at W = 2...
         congest::NetworkConfig ckpt_cfg = cfg;
         ckpt_cfg.seed = rep_seed;
         if (auto d = check_sync_resume(host, ckpt_cfg, factory, reference,
                                        derive_seed(c.seed, 0x54a4dULL),
                                        "sharded"))
           return d;
-        // ...and across engines: a snapshot the sharded loop captured
-        // resumes on the classic one (config_digest excludes the shard
-        // spec, so the identity check passes by design).
+        // ...and across worker counts: a snapshot taken at W = 2 resumes
+        // at W = 1 (config_digest excludes the shard spec, so the identity
+        // check passes by design).
         ckpt_cfg.checkpoint_at_round =
             1 + c.seed % (reference.metrics.rounds - 1);
         const congest::Network sharded_ckpt_net(host, ckpt_cfg);
@@ -574,9 +574,9 @@ std::optional<Divergence> check_case(const FuzzCase& c,
               net.resume(factory, *observed.checkpoint);
           if (!(digest(resumed) == digest(reference))) {
             std::ostringstream os;
-            os << "classic engine resuming a sharded-loop snapshot from "
-               << "round " << ckpt_cfg.checkpoint_at_round << " diverged "
-               << "(bits " << resumed.metrics.total_bits << "/"
+            os << "W=1 resuming a W=2 snapshot from round "
+               << ckpt_cfg.checkpoint_at_round << " diverged (bits "
+               << resumed.metrics.total_bits << "/"
                << reference.metrics.total_bits << ")";
             return diverge("shard-cross-resume", os);
           }
@@ -672,8 +672,8 @@ std::optional<Divergence> check_case(const FuzzCase& c,
        << s1.detected << "/" << s2.detected << ")";
     return diverge("faulty-sync-determinism", os);
   }
-  // The sharded loop must reproduce the faulty run too: fault fates are
-  // per-link RNG streams, so the worker count cannot change a single fate.
+  // W >= 2 must reproduce the faulty run too: fault fates are per-link
+  // RNG streams, so the worker count cannot change a single fate.
   {
     congest::NetworkConfig faulty_shard_cfg = faulty_sync;
     faulty_shard_cfg.shard.workers = 3;
@@ -683,7 +683,7 @@ std::optional<Divergence> check_case(const FuzzCase& c,
     if (!(digest(s3) == digest(s1)) ||
         trace_bytes(s3.trace) != trace_bytes(s1.trace)) {
       std::ostringstream os;
-      os << "sharded engine under faults differs from the classic loop "
+      os << "engine at W=3 under faults differs from W=1 "
          << "(detected " << s3.detected << "/" << s1.detected << ", dropped "
          << s3.faults.frames_dropped << "/" << s1.faults.frames_dropped
          << ")";

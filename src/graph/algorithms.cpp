@@ -53,15 +53,31 @@ std::vector<std::uint32_t> connected_components(const Graph& g) {
   return comp;
 }
 
+bool is_forest(const Graph& g) {
+  const auto comp = connected_components(g);
+  const std::uint64_t components =
+      comp.empty() ? 0 : *std::max_element(comp.begin(), comp.end()) + 1ull;
+  return g.num_edges() + components == g.num_vertices();
+}
+
 std::uint32_t diameter(const Graph& g) {
   if (g.num_vertices() == 0) return 0;
+  const auto from_zero = bfs_distances(g, 0);
+  if (std::find(from_zero.begin(), from_zero.end(), kUnreachable) !=
+      from_zero.end())
+    return kUnreachable;
+  if (g.num_edges() + 1 == g.num_vertices()) {
+    // A tree: the vertex farthest from any vertex ends a longest path, so
+    // the farthest distance from it is the diameter (two-sweep BFS).
+    const auto far = std::max_element(from_zero.begin(), from_zero.end());
+    const auto from_far =
+        bfs_distances(g, static_cast<Vertex>(far - from_zero.begin()));
+    return *std::max_element(from_far.begin(), from_far.end());
+  }
   std::uint32_t diam = 0;
   for (Vertex s = 0; s < g.num_vertices(); ++s) {
     const auto dist = bfs_distances(g, s);
-    for (const auto d : dist) {
-      if (d == kUnreachable) return kUnreachable;
-      diam = std::max(diam, d);
-    }
+    diam = std::max(diam, *std::max_element(dist.begin(), dist.end()));
   }
   return diam;
 }

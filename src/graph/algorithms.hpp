@@ -21,7 +21,11 @@ bool is_connected(const Graph& g);
 /// Connected component id per vertex (ids dense from 0).
 std::vector<std::uint32_t> connected_components(const Graph& g);
 
-/// Eccentricity-based diameter; kUnreachable if g is disconnected.
+/// True iff g has no cycle: m = n - (number of components). O(n + m).
+bool is_forest(const Graph& g);
+
+/// Eccentricity-based diameter; kUnreachable if g is disconnected. Exact
+/// two-sweep BFS on a tree (O(n)), all-sources BFS otherwise (O(n·m)).
 std::uint32_t diameter(const Graph& g);
 
 /// True iff g is bipartite; if `side` is non-null it receives a 2-coloring.

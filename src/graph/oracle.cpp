@@ -80,6 +80,7 @@ class CycleEnumerator {
 std::optional<std::vector<Vertex>> find_cycle_of_length(const Graph& g,
                                                         Vertex L) {
   CSD_CHECK_MSG(L >= 3, "cycles have length >= 3");
+  if (is_forest(g)) return std::nullopt;
   CycleEnumerator enumerator(g, L);
   std::optional<std::vector<Vertex>> found;
   for (Vertex start = 0; start + L <= g.num_vertices() + 0u && !found;
@@ -111,6 +112,7 @@ std::uint64_t count_cycles_of_length(const Graph& g, Vertex L) {
 }
 
 Vertex girth(const Graph& g) {
+  if (is_forest(g)) return 0;
   // Standard all-roots BFS girth algorithm (exact for unweighted graphs).
   Vertex best = 0;
   for (Vertex root = 0; root < g.num_vertices(); ++root) {

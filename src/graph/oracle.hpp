@@ -26,13 +26,15 @@ std::vector<BitVec> adjacency_rows(const Graph& g);
 bool has_clique_rows(const std::vector<BitVec>& rows, Vertex s);
 
 /// True iff G contains a (simple) cycle of length exactly L (L >= 3).
+/// Exhaustive search, except that a forest answers at once (O(n + m)).
 bool has_cycle_of_length(const Graph& g, Vertex L);
 
 /// Some simple cycle of length exactly L, as a vertex sequence, if one exists.
 std::optional<std::vector<Vertex>> find_cycle_of_length(const Graph& g,
                                                         Vertex L);
 
-/// Girth of G: length of its shortest cycle, or 0 if G is a forest.
+/// Girth of G: length of its shortest cycle, or 0 if G is a forest (found
+/// in O(n + m) before the O(n·m) all-roots BFS).
 Vertex girth(const Graph& g);
 
 /// Some shortest cycle (vertex sequence) if G is not a forest.

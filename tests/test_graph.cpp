@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <set>
 
 #include "graph/algorithms.hpp"
@@ -364,6 +365,83 @@ TEST(Oracle, HasTree) {
 }
 
 // ------------------------------------------------------------------ vf2 --
+/// Every simple cycle length of a small graph, by plain DFS over simple
+/// paths from each start vertex (no pruning, no shortcuts).
+std::vector<bool> cycle_lengths_brute_force(const Graph& g) {
+  const Vertex n = g.num_vertices();
+  std::vector<bool> lengths(n + 1, false), on_path(n, false);
+  std::function<void(Vertex, Vertex, Vertex)> extend = [&](Vertex start,
+                                                           Vertex v,
+                                                           Vertex len) {
+    for (const Vertex w : g.neighbors(v)) {
+      if (w == start && len >= 3) lengths[len] = true;
+      if (w > start && !on_path[w]) {
+        on_path[w] = true;
+        extend(start, w, len + 1);
+        on_path[w] = false;
+      }
+    }
+  };
+  for (Vertex s = 0; s < n; ++s) {
+    on_path[s] = true;
+    extend(s, s, 1);
+    on_path[s] = false;
+  }
+  return lengths;
+}
+
+/// Diameter by Floyd–Warshall (kUnreachable when disconnected).
+std::uint32_t diameter_brute_force(const Graph& g) {
+  const Vertex n = g.num_vertices();
+  std::vector<std::vector<std::uint64_t>> d(
+      n, std::vector<std::uint64_t>(n, kUnreachable));
+  for (Vertex v = 0; v < n; ++v) {
+    d[v][v] = 0;
+    for (const Vertex w : g.neighbors(v)) d[v][w] = 1;
+  }
+  for (Vertex k = 0; k < n; ++k)
+    for (Vertex i = 0; i < n; ++i)
+      for (Vertex j = 0; j < n; ++j)
+        d[i][j] = std::min(d[i][j], d[i][k] + d[k][j]);
+  std::uint64_t diam = 0;
+  for (Vertex i = 0; i < n; ++i)
+    for (Vertex j = 0; j < n; ++j) diam = std::max(diam, d[i][j]);
+  return diam >= kUnreachable ? kUnreachable
+                              : static_cast<std::uint32_t>(diam);
+}
+
+TEST(Oracle, ForestShortCircuitMatchesBruteForce) {
+  // Random trees, forests of two or three trees, and trees with one or two
+  // extra edges (which must still reach the exhaustive search).
+  Rng rng(2024);
+  for (int trial = 0; trial < 120; ++trial) {
+    const Vertex n = static_cast<Vertex>(1 + rng.below(9));
+    Graph g = build::random_tree(n, rng);
+    const int shape = trial % 4;
+    if (shape == 1 || shape == 2)
+      for (int extra = 0; extra < shape; ++extra)
+        g.append_disjoint(
+            build::random_tree(static_cast<Vertex>(1 + rng.below(5)), rng));
+    if (shape == 3)
+      for (int extra = 0; extra < 2; ++extra)
+        g.add_edge_if_absent(static_cast<Vertex>(rng.below(n)),
+                             static_cast<Vertex>(rng.below(n)));
+    const std::vector<bool> lengths = cycle_lengths_brute_force(g);
+    const bool any_cycle =
+        std::find(lengths.begin(), lengths.end(), true) != lengths.end();
+    EXPECT_EQ(is_forest(g), !any_cycle) << "trial " << trial;
+    Vertex shortest = 0;
+    for (Vertex len = 3; len <= g.num_vertices(); ++len) {
+      EXPECT_EQ(oracle::has_cycle_of_length(g, len), lengths[len])
+          << "trial " << trial << " L=" << len;
+      if (lengths[len] && shortest == 0) shortest = len;
+    }
+    EXPECT_EQ(oracle::has_cycle_of_length(g, g.num_vertices() + 3), false);
+    EXPECT_EQ(oracle::girth(g), shortest) << "trial " << trial;
+    EXPECT_EQ(diameter(g), diameter_brute_force(g)) << "trial " << trial;
+  }
+}
+
 TEST(Vf2, FindsPlantedPattern) {
   Rng rng(31);
   Graph host = build::gnp(25, 0.08, rng);

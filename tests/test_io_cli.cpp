@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -202,6 +203,51 @@ TEST(Cli, HugeVertexCountIsAOneLineErrorNotAnAbort) {
   EXPECT_EQ(cli::run({"stats", path}, out, err), 2);
   const std::string message = err.str();
   EXPECT_EQ(message.rfind("error: ", 0), 0u) << message;
+  EXPECT_EQ(std::count(message.begin(), message.end(), '\n'), 1) << message;
+  std::remove(path.c_str());
+}
+
+TEST(Cli, StatsOnALargeTreeIsFast) {
+  // A forest answers the girth and cycle oracles at once and a tree's
+  // diameter takes two BFS sweeps; this once ran past two minutes.
+  const auto path = (std::filesystem::temp_directory_path() /
+                     "csd_cli_big_tree.graph")
+                        .string();
+  std::string text;
+  ASSERT_EQ(run_cli({"generate", "tree", "65536", "5", "--out", path}, &text),
+            0);
+  const auto start = std::chrono::steady_clock::now();
+  ASSERT_EQ(run_cli({"stats", path}, &text), 0) << text;
+  const double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  EXPECT_LT(seconds, 5.0);
+  EXPECT_NE(text.find("girth:       inf (forest)"), std::string::npos) << text;
+  std::remove(path.c_str());
+}
+
+TEST(Cli, ShardFlagsNeedNoWorkersAndZeroWorkersIsAOneLineError) {
+  const auto path = (std::filesystem::temp_directory_path() /
+                     "csd_cli_workers.graph")
+                        .string();
+  std::string text;
+  ASSERT_EQ(run_cli({"generate", "tree", "40", "3", "--out", path}, &text), 0);
+  std::string plain, flagged;
+  ASSERT_EQ(run_cli({"detect", "cycle", "4", path, "--reps", "3"}, &plain), 0);
+  // One worker (the default) takes the policy and the counters as well.
+  ASSERT_EQ(run_cli({"detect", "cycle", "4", path, "--reps", "3",
+                     "--shard-policy", "hash", "--shard-counters"},
+                    &flagged),
+            0)
+      << flagged;
+  EXPECT_EQ(plain, flagged);
+  std::ostringstream out, err;
+  EXPECT_EQ(cli::run({"detect", "cycle", "4", path, "--workers", "0"}, out,
+                     err),
+            2);
+  const std::string message = err.str();
+  EXPECT_EQ(message.rfind("error: ", 0), 0u) << message;
+  EXPECT_NE(message.find("--workers"), std::string::npos) << message;
   EXPECT_EQ(std::count(message.begin(), message.end(), '\n'), 1) << message;
   std::remove(path.c_str());
 }

@@ -807,14 +807,14 @@ TEST(TelemetryV2, EngineOutcomesBitIdenticalWithTelemetryAttached) {
     return os.str();
   };
 
-  auto plain = run(nullptr, 0);
+  auto plain = run(nullptr, 1);
   obs::Telemetry telemetry;
-  auto instrumented = run(&telemetry, 0);
+  auto instrumented = run(&telemetry, 1);
   obs::Telemetry sharded_telemetry;
   auto sharded = run(&sharded_telemetry, 2);
 
   // The telemetry plane is write-only: verdict, metrics and the full trace
-  // stream are unaffected by attaching it, on both engines.
+  // stream are unaffected by attaching it, at one worker and at two.
   EXPECT_EQ(plain.detected, instrumented.detected);
   EXPECT_EQ(plain.metrics.rounds, instrumented.metrics.rounds);
   EXPECT_EQ(plain.metrics.messages, instrumented.metrics.messages);
@@ -827,8 +827,44 @@ TEST(TelemetryV2, EngineOutcomesBitIdenticalWithTelemetryAttached) {
   EXPECT_GT(telemetry.counter("sync_rounds").value(), 0u);
   EXPECT_EQ(telemetry.counter("sync_messages").value(),
             instrumented.metrics.messages);
-  EXPECT_GT(sharded_telemetry.counter("shard_supersteps").value(), 0u);
+  EXPECT_GT(sharded_telemetry.counter("shard_channel_frames").value(), 0u);
   EXPECT_GT(sharded_telemetry.events_recorded(), 0u);
+
+  // One vocabulary: every sync_* counter, gauge and histogram reads the
+  // same at W = 1 and W = 2; shard_* names appear only where W shows.
+  const auto engine_metrics = [](const obs::Telemetry& t) {
+    const obs::Json all = t.metrics_json();
+    obs::Json picked = obs::Json::object();
+    for (const char* section : {"counters", "gauges", "histograms"})
+      for (const auto& [name, value] : all.at(section).members())
+        if (name.rfind("sync_", 0) == 0 || name.rfind("shard_", 0) == 0)
+          picked.set(std::string(section) + "." + name, value);
+    return picked;
+  };
+  const obs::Json one = engine_metrics(telemetry);
+  const obs::Json two = engine_metrics(sharded_telemetry);
+  std::size_t sync_names = 0;
+  for (const auto& [name, value] : one.members()) {
+    EXPECT_EQ(name.find(".shard_"), std::string::npos)
+        << name << " registered at W = 1";
+    const obs::Json* other = two.find(name);
+    ASSERT_NE(other, nullptr) << name << " missing at W = 2";
+    EXPECT_EQ(value.dump(-1), other->dump(-1)) << name;
+    ++sync_names;
+  }
+  EXPECT_EQ(sync_names, 10u);
+  for (const char* name :
+       {"counters.sync_rounds", "counters.sync_messages", "counters.sync_bits",
+        "counters.sync_frames_dropped", "counters.sync_frames_corrupted",
+        "counters.sync_node_crashes", "counters.sync_node_invocations",
+        "gauges.sync_arena_frames", "gauges.sync_arena_capacity",
+        "histograms.sync_round_bits"})
+    EXPECT_NE(one.find(name), nullptr) << name;
+  for (const char* gone : {"counters.shard_supersteps",
+                           "counters.shard_frames_dropped",
+                           "counters.shard_frames_corrupted",
+                           "counters.shard_node_crashes"})
+    EXPECT_EQ(two.find(gone), nullptr) << gone;
 }
 
 TEST(TelemetryV2, SeriesParserRejectsMalformedStreams) {

@@ -1,11 +1,19 @@
-// Tests for the sharded superstep engine (congest/shard.hpp) and its
+// Tests for the synchronous superstep engine's worker count and its
 // Partitioner: partition invariants and balance bounds, and the hard
-// bit-identity contract — every outcome field the classic sync engine
-// promises to be deterministic must be byte-for-byte identical at every
-// worker count, either partition policy, and any --jobs fan-out.
+// bit-identity contract — every outcome field the sync engine promises to
+// be deterministic must be byte-for-byte identical at every worker count,
+// either partition policy, and any --jobs fan-out. The reference is the
+// default W = 1 run, and behind it the golden outputs recorded from the
+// single-loop engine that W = 1 replaced (corpus/sync_golden/). "Classic
+// order" below is that engine's order: ascending node / dense edge index
+// per round, which one worker produces by construction.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -14,13 +22,18 @@
 
 #include "congest/network.hpp"
 #include "congest/partition.hpp"
+#include "detect/clique_detect.hpp"
 #include "fuzz/fuzz_case.hpp"
 #include "fuzz/generator.hpp"
 #include "graph/builders.hpp"
+#include "graph/io.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
+#include "obs/metrics_v2.hpp"
 #include "sleepy_programs.hpp"
 #include "support/rng.hpp"
 #include "support/wire.hpp"
+#include "tools/cli.hpp"
 
 namespace csd::congest {
 namespace {
@@ -81,7 +94,7 @@ class Chatter final : public NodeProgram {
 };
 
 /// Violates the model on purpose (duplicate send, bandwidth overrun) so the
-/// merged violation list's order is pinned against the classic engine.
+/// merged violation list's order is pinned against W = 1.
 class Naughty final : public NodeProgram {
  public:
   void on_round(NodeApi& api) override {
@@ -200,11 +213,27 @@ TEST(Partition, DigestPinsAssignment) {
   EXPECT_NE(a.digest(), d.digest());
 }
 
+TEST(Partition, SingleWorkerKeepsNoTablesAndZeroWorkersIsRefused) {
+  const Graph g = build::cycle(16);
+  const Partition one = Partition::build(g.csr(), 1, PartitionPolicy::Hash);
+  EXPECT_EQ(one.owner_table(), nullptr);
+  EXPECT_EQ(one.owner(7), 0u);
+  EXPECT_EQ(one.owned(0).size(), 16u);
+  EXPECT_EQ(one.owned_directed_edges(0), 32u);
+  EXPECT_EQ(one.cut_directed_edges(), 0u);
+  EXPECT_THROW(Partition::build(g.csr(), 0, PartitionPolicy::Range),
+               CheckFailure);
+  EXPECT_EQ(NetworkConfig{}.shard.workers, 1u);
+  NetworkConfig cfg;
+  cfg.shard.workers = 0;
+  EXPECT_THROW(Network(g, cfg).run(chatter(2)), CheckFailure);
+}
+
 // ---------------------------------------------------------------------------
-// Bit-identity: sharded vs classic
+// Bit-identity: W >= 2 vs W = 1
 // ---------------------------------------------------------------------------
 
-TEST(Shard, W1BitIdenticalToClassicOnFuzzSmokeCorpus) {
+TEST(Shard, WorkersBitIdenticalToW1OnFuzzSmokeCorpus) {
   for (std::uint64_t case_seed = 1; case_seed <= 25; ++case_seed) {
     const fuzz::FuzzCase c = fuzz::generate_case(case_seed);
     const Graph host = fuzz::build_graph(c);
@@ -217,12 +246,15 @@ TEST(Shard, W1BitIdenticalToClassicOnFuzzSmokeCorpus) {
     if (c.has_faults()) cfg.faults = fuzz::fault_plan(c);
     const ProgramFactory factory = fuzz::make_program(c);
 
-    const Network classic(host, cfg);
-    NetworkConfig sharded_cfg = cfg;
-    sharded_cfg.shard.workers = 1;
-    const Network sharded(host, sharded_cfg);
-    expect_outcomes_identical(classic.run(factory), sharded.run(factory),
-                              "case seed " + std::to_string(case_seed));
+    const RunOutcome reference = Network(host, cfg).run(factory);
+    for (const std::uint32_t w_count : {2u, 8u}) {
+      NetworkConfig sharded_cfg = cfg;
+      sharded_cfg.shard.workers = w_count;
+      const Network sharded(host, sharded_cfg);
+      expect_outcomes_identical(reference, sharded.run(factory),
+                                "case seed " + std::to_string(case_seed) +
+                                    " W=" + std::to_string(w_count));
+    }
   }
 }
 
@@ -236,8 +268,9 @@ TEST(Shard, MatrixBitIdenticalAcrossWorkersAndPolicies) {
   cfg.seed = 41;
   cfg.trace.enabled = true;
   cfg.trace.per_edge = true;
-  const Network classic(g, cfg);
-  const RunOutcome reference = classic.run(chatter(12));
+  cfg.trace.timers = true;
+  const Network w1(g, cfg);
+  const RunOutcome reference = w1.run(chatter(12));
   EXPECT_GT(reference.metrics.messages, 0u);
   for (const std::uint32_t w_count : {1u, 2u, 8u}) {
     for (const auto policy : {PartitionPolicy::Range, PartitionPolicy::Hash}) {
@@ -245,10 +278,17 @@ TEST(Shard, MatrixBitIdenticalAcrossWorkersAndPolicies) {
       shard_cfg.shard.workers = w_count;
       shard_cfg.shard.policy = policy;
       const Network net(g, shard_cfg);
-      expect_outcomes_identical(
-          reference, net.run(chatter(12)),
-          "W=" + std::to_string(w_count) + " policy " +
-              std::string(to_string(policy)));
+      const RunOutcome outcome = net.run(chatter(12));
+      const std::string label = "W=" + std::to_string(w_count) + " policy " +
+                                std::string(to_string(policy));
+      expect_outcomes_identical(reference, outcome, label);
+      // Both sides of the timer split are measured at every W.
+      const obs::EngineTimers& timers = outcome.metrics.timers;
+      EXPECT_EQ(timers.node_rounds_invoked,
+                reference.metrics.timers.node_rounds_invoked)
+          << label;
+      EXPECT_GT(timers.compute_ns, 0u) << label;
+      EXPECT_GT(timers.delivery_ns, 0u) << label;
     }
   }
 }
@@ -291,8 +331,8 @@ TEST(Shard, FaultyRunBitIdenticalIncludingReportOrder) {
   cfg.faults.corrupt = 0.05;
   cfg.faults.crashes.push_back({7, 4});
   cfg.faults.crashes.push_back({23, 9});
-  const Network classic(g, cfg);
-  const RunOutcome reference = classic.run(chatter(16));
+  const Network w1(g, cfg);
+  const RunOutcome reference = w1.run(chatter(16));
   EXPECT_FALSE(reference.faults.crashed_nodes.empty());
   for (const std::uint32_t w_count : {2u, 8u}) {
     NetworkConfig shard_cfg = cfg;
@@ -310,8 +350,8 @@ TEST(Shard, ViolationListOrderMatchesClassic) {
   cfg.bandwidth = 8;
   cfg.max_rounds = 8;
   const auto naughty = [](std::uint32_t) { return std::make_unique<Naughty>(); };
-  const Network classic(g, cfg);
-  const RunOutcome reference = classic.run(naughty);
+  const Network w1(g, cfg);
+  const RunOutcome reference = w1.run(naughty);
   ASSERT_GE(reference.faults.violations.size(), 12u);
   NetworkConfig shard_cfg = cfg;
   shard_cfg.shard.workers = 5;
@@ -334,13 +374,13 @@ TEST(Shard, TranscriptAndOnMessageReplayInClassicOrder) {
   cfg.record_transcript = true;
   using Event = std::tuple<std::uint64_t, std::uint32_t, std::uint32_t,
                            std::uint64_t>;
-  std::vector<Event> classic_events;
+  std::vector<Event> w1_events;
   cfg.on_message = [&](std::uint64_t r, std::uint32_t s, std::uint32_t d,
                        std::uint64_t bits) {
-    classic_events.emplace_back(r, s, d, bits);
+    w1_events.emplace_back(r, s, d, bits);
   };
-  const Network classic(g, cfg);
-  const RunOutcome reference = classic.run(chatter(6));
+  const Network w1(g, cfg);
+  const RunOutcome reference = w1.run(chatter(6));
   ASSERT_FALSE(reference.transcript.empty());
 
   std::vector<Event> sharded_events;
@@ -352,7 +392,7 @@ TEST(Shard, TranscriptAndOnMessageReplayInClassicOrder) {
   };
   const Network net(g, shard_cfg);
   expect_outcomes_identical(reference, net.run(chatter(6)), "transcript");
-  EXPECT_EQ(classic_events, sharded_events);
+  EXPECT_EQ(w1_events, sharded_events);
 }
 
 TEST(Shard, BroadcastOnlyModeMatches) {
@@ -361,8 +401,8 @@ TEST(Shard, BroadcastOnlyModeMatches) {
   cfg.bandwidth = 8;
   cfg.max_rounds = 6;
   cfg.broadcast_only = true;
-  const Network classic(g, cfg);
-  const RunOutcome reference = classic.run(chatter(3));
+  const Network w1(g, cfg);
+  const RunOutcome reference = w1.run(chatter(3));
   NetworkConfig shard_cfg = cfg;
   shard_cfg.shard.workers = 3;
   const Network net(g, shard_cfg);
@@ -381,17 +421,16 @@ TEST(Shard, SnapshotsAreBitIdenticalAndResumeAcrossWorkerCounts) {
   cfg.max_rounds = 48;
   cfg.seed = 21;
   cfg.trace.enabled = true;
-  const Network classic(g, cfg);
-  const RunOutcome reference = classic.run(chatter(10));
+  const Network w1(g, cfg);
+  const RunOutcome reference = w1.run(chatter(10));
   ASSERT_GE(reference.metrics.rounds, 6u);
 
   NetworkConfig ckpt_cfg = cfg;
   ckpt_cfg.checkpoint_at_round = 5;
-  const Network classic_ckpt(g, ckpt_cfg);
-  const RunOutcome classic_observed = classic_ckpt.run(chatter(10));
-  ASSERT_NE(classic_observed.checkpoint, nullptr);
-  const std::string classic_snap_json =
-      to_json(*classic_observed.checkpoint).dump();
+  const Network w1_ckpt(g, ckpt_cfg);
+  const RunOutcome w1_observed = w1_ckpt.run(chatter(10));
+  ASSERT_NE(w1_observed.checkpoint, nullptr);
+  const std::string w1_snap_json = to_json(*w1_observed.checkpoint).dump();
 
   for (const std::uint32_t w_count : {1u, 2u, 8u}) {
     NetworkConfig shard_ckpt = ckpt_cfg;
@@ -401,10 +440,10 @@ TEST(Shard, SnapshotsAreBitIdenticalAndResumeAcrossWorkerCounts) {
     const RunOutcome observed = net.run(chatter(10));
     ASSERT_NE(observed.checkpoint, nullptr);
     // csd-ckpt-v1 snapshots are bit-identical at every worker count.
-    EXPECT_EQ(to_json(*observed.checkpoint).dump(), classic_snap_json)
+    EXPECT_EQ(to_json(*observed.checkpoint).dump(), w1_snap_json)
         << "snapshot differs at W=" << w_count;
-    // A snapshot taken at W resumes at any other worker count (and on the
-    // classic engine) to the uninterrupted outcome.
+    // A snapshot taken at W resumes at any other worker count (and at
+    // W = 1) to the uninterrupted outcome.
     NetworkConfig resume_cfg = cfg;
     resume_cfg.shard.workers = w_count == 8 ? 2 : 8;
     const Network resume_net(g, resume_cfg);
@@ -414,63 +453,14 @@ TEST(Shard, SnapshotsAreBitIdenticalAndResumeAcrossWorkerCounts) {
     EXPECT_EQ(resumed.metrics.messages, reference.metrics.messages);
     EXPECT_EQ(resumed.metrics.total_bits, reference.metrics.total_bits);
     EXPECT_TRUE(resumed.faults == reference.faults);
-    const RunOutcome classic_resumed =
-        classic.resume(chatter(10), *observed.checkpoint);
-    EXPECT_EQ(classic_resumed.metrics.total_bits,
-              reference.metrics.total_bits);
+    const RunOutcome w1_resumed = w1.resume(chatter(10), *observed.checkpoint);
+    EXPECT_EQ(w1_resumed.metrics.total_bits, reference.metrics.total_bits);
   }
 }
 
 // ---------------------------------------------------------------------------
-// Hooks and counters
+// Counters
 // ---------------------------------------------------------------------------
-
-TEST(Shard, SuperstepStatsAccountEveryDeliveredFrame) {
-  const Graph g = build::cycle(32);
-  NetworkConfig cfg;
-  cfg.bandwidth = 8;
-  cfg.max_rounds = 32;
-  cfg.shard.workers = 4;  // Range on a cycle: 4 contiguous arcs, 8 cut edges
-  std::uint64_t hook_frames = 0;
-  bool saw_halt_vote = false;
-  std::uint64_t last_round = 0;
-  cfg.shard.on_superstep = [&](const ShardSuperstepStats& s) {
-    hook_frames += s.channel_frames + s.local_frames;
-    saw_halt_vote = saw_halt_vote || s.voted_halt;
-    last_round = s.round;
-  };
-  const Network net(g, cfg);
-  const RunOutcome outcome = net.run(chatter(8));
-  // Fault-free: every accounted message was delivered either locally or
-  // through a channel, and the hook saw each exactly once.
-  EXPECT_EQ(hook_frames, outcome.metrics.messages);
-  // Staggered halts (id % 5): some worker goes all-halted while others run.
-  EXPECT_TRUE(saw_halt_vote);
-  EXPECT_GT(last_round, 0u);
-}
-
-TEST(Shard, CombinerRunsOnChannelsWithoutChangingTheOutcome) {
-  const Graph g = build::cycle(24);
-  NetworkConfig cfg;
-  cfg.bandwidth = 8;
-  cfg.max_rounds = 24;
-  const Network classic(g, cfg);
-  const RunOutcome reference = classic.run(chatter(6));
-  NetworkConfig shard_cfg = cfg;
-  shard_cfg.shard.workers = 4;
-  std::uint64_t invocations = 0;
-  shard_cfg.shard.combiner = [&](std::uint32_t, std::uint32_t,
-                                 ShardChannel& channel) {
-    ++invocations;  // worker-threaded in general; single-channel here per pair
-    // Reverse the batch: the engine must re-sort to the edge merge order.
-    const auto used = static_cast<std::ptrdiff_t>(channel.used);
-    std::reverse(channel.edges.begin(), channel.edges.begin() + used);
-    std::reverse(channel.payloads.begin(), channel.payloads.begin() + used);
-  };
-  const Network net(g, shard_cfg);
-  expect_outcomes_identical(reference, net.run(chatter(6)), "combiner");
-  EXPECT_GT(invocations, 0u);
-}
 
 TEST(Shard, ChannelCountersSurfaceInMetricsAndTraceSummary) {
   const Graph g = build::cycle(32);
@@ -478,34 +468,56 @@ TEST(Shard, ChannelCountersSurfaceInMetricsAndTraceSummary) {
   cfg.bandwidth = 8;
   cfg.max_rounds = 32;
   cfg.trace.enabled = true;
-  cfg.shard.workers = 4;
+  cfg.shard.workers = 4;  // Range on a cycle: 4 contiguous arcs, 8 cut edges
   cfg.shard.channel_counters = true;
+  obs::Telemetry telemetry;
+  cfg.telemetry = &telemetry;
   const Network net(g, cfg);
   const RunOutcome outcome = net.run(chatter(8));
   EXPECT_EQ(outcome.metrics.counters.value("shard_workers"), 4u);
   EXPECT_EQ(outcome.metrics.counters.value("shard_cut_edges"), 8u);
-  std::uint64_t channel_bytes = 0;
-  for (std::uint32_t w = 0; w < 4; ++w)
+  std::uint64_t channel_bytes = 0, channel_frames = 0;
+  for (std::uint32_t w = 0; w < 4; ++w) {
     channel_bytes += outcome.metrics.counters.value(
         obs::worker_counter_name("shard_channel_bytes", w));
+    channel_frames += outcome.metrics.counters.value(
+        obs::worker_counter_name("shard_channel_frames", w));
+  }
   EXPECT_GT(channel_bytes, 0u);
   EXPECT_NE(trace_jsonl(outcome).find("shard_channel_bytes_w0"),
             std::string::npos);
+  // Fault-free: every accounted message was delivered either locally or
+  // through a channel, and each exactly once.
+  EXPECT_EQ(channel_frames, telemetry.counter("shard_channel_frames").value());
+  EXPECT_EQ(channel_frames + telemetry.counter("shard_local_frames").value(),
+            outcome.metrics.messages);
 
   // Off by default: the determinism matrix never sees worker-dependent
   // counters.
   NetworkConfig plain = cfg;
   plain.shard.channel_counters = false;
+  plain.telemetry = nullptr;
   const Network plain_net(g, plain);
   const RunOutcome plain_outcome = plain_net.run(chatter(8));
   EXPECT_EQ(plain_outcome.metrics.counters.value("shard_workers"), 0u);
   EXPECT_EQ(trace_jsonl(plain_outcome).find("shard_workers"),
             std::string::npos);
+
+  // One worker reports itself too: nothing crosses a channel.
+  NetworkConfig single = cfg;
+  single.shard.workers = 1;
+  single.telemetry = nullptr;
+  const RunOutcome single_outcome = Network(g, single).run(chatter(8));
+  EXPECT_EQ(single_outcome.metrics.counters.value("shard_workers"), 1u);
+  EXPECT_EQ(single_outcome.metrics.counters.value("shard_cut_edges"), 0u);
+  EXPECT_EQ(single_outcome.metrics.counters.value(
+                obs::worker_counter_name("shard_channel_frames", 0)),
+            0u);
 }
 
 TEST(Shard, StallWindowFiresIdentically) {
-  /// Never halts, never sends: the watchdog must cut both engines at the
-  /// same round with the same report.
+  /// Never halts, never sends: the watchdog must cut W = 1 and W = 3 at
+  /// the same round with the same report.
   class Mute final : public NodeProgram {
    public:
     void on_round(NodeApi&) override {}
@@ -515,8 +527,8 @@ TEST(Shard, StallWindowFiresIdentically) {
   cfg.max_rounds = 1000;
   cfg.stall_window = 7;
   const auto factory = [](std::uint32_t) { return std::make_unique<Mute>(); };
-  const Network classic(g, cfg);
-  const RunOutcome reference = classic.run(factory);
+  const Network w1(g, cfg);
+  const RunOutcome reference = w1.run(factory);
   EXPECT_EQ(reference.faults.watchdog_stalls, 1u);
   NetworkConfig shard_cfg = cfg;
   shard_cfg.shard.workers = 3;
@@ -527,7 +539,7 @@ TEST(Shard, StallWindowFiresIdentically) {
 TEST(Shard, SleepingProgramsBitIdenticalAtEveryWorkersAndJobs) {
   // Active-set scheduling per worker lane: sleeps, frame wakes across
   // worker boundaries, faults and crash rounds inside sleeps, with and
-  // without the audit, all bit-identical to the classic loop.
+  // without the audit, all bit-identical to W = 1.
   Rng rng(31);
   const Graph g = build::gnp(40, 0.1, rng);
   NetworkConfig cfg;
@@ -567,6 +579,164 @@ TEST(Shard, SleepingProgramsBitIdenticalAtEveryWorkersAndJobs) {
       }
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Golden outputs of the single-loop engine that W = 1 replaced
+// ---------------------------------------------------------------------------
+
+std::string golden_path(const std::string& name) {
+  return std::string(CSD_SYNC_GOLDEN_DIR) + "/" + name;
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  EXPECT_TRUE(is.good()) << path;
+  std::ostringstream os;
+  os << is.rdbuf();
+  return os.str();
+}
+
+/// "<bytes> <FNV-1a 64, hex>", the form traces.txt records a trace in.
+std::string size_and_digest(const std::string& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  char hex[17];
+  std::snprintf(hex, sizeof hex, "%016llx",
+                static_cast<unsigned long long>(h));
+  return std::to_string(bytes.size()) + " " + hex;
+}
+
+std::map<std::string, std::string> golden_traces() {
+  std::map<std::string, std::string> traces;
+  std::istringstream is(read_file(golden_path("traces.txt")));
+  std::string name, size, digest;
+  while (is >> name >> size >> digest) traces[name] = size + " " + digest;
+  return traces;
+}
+
+/// A csd-bench-v1 report without its env object (wall clock, jobs,
+/// workers, git sha), re-serialized.
+std::string report_without_env(const std::string& text) {
+  const obs::Json doc = obs::Json::parse(text);
+  obs::Json kept = obs::Json::object();
+  for (const auto& [key, value] : doc.members())
+    if (key != "env") kept.set(key, value);
+  return kept.dump();
+}
+
+TEST(SyncGolden, CliOutputsReproduceAtEveryWorkersAndJobs) {
+  struct Case {
+    std::string name;
+    std::vector<std::string> args;
+    bool auditable;  // --audit-sleep: cycle 2k, or any pattern supervised
+  };
+  const std::vector<Case> cases = {
+      {"cycle4",
+       {"cycle", "4", "forest256.txt", "--reps", "8", "--seed", "11"},
+       true},
+      {"cycle4_faults",
+       {"cycle", "4", "forest256.txt", "--reps", "8", "--seed", "11",
+        "--supervised", "--drop", "0.05", "--crash", "7:3"},
+       true},
+      {"clique3",
+       {"clique", "3", "gnp96.txt", "--reps", "1", "--seed", "11"},
+       false},
+      {"clique3_faults",
+       {"clique", "3", "gnp96.txt", "--seed", "11", "--supervised", "--drop",
+        "0.05", "--crash", "5:1"},
+       true},
+  };
+  const std::map<std::string, std::string> traces = golden_traces();
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "csd_sync_golden";
+  std::filesystem::create_directories(dir);
+  const std::string json = (dir / "report.json").string();
+  const std::string trace = (dir / "trace.jsonl").string();
+  for (const Case& c : cases) {
+    const std::string want_report =
+        report_without_env(read_file(golden_path(c.name + ".json")));
+    for (const std::string workers : {"1", "2", "8"}) {
+      for (const std::string jobs : {"1", "4"}) {
+        for (const bool audit : {false, true}) {
+          if (audit && !c.auditable) continue;
+          std::vector<std::string> args = {"detect"};
+          for (const std::string& a : c.args)
+            args.push_back(a.ends_with(".txt") ? golden_path(a) : a);
+          for (const std::string& a :
+               {std::string("--workers"), workers, std::string("--jobs"), jobs,
+                std::string("--json"), json, std::string("--trace"), trace})
+            args.push_back(a);
+          if (audit) args.push_back("--audit-sleep");
+          const std::string label = c.name + " W=" + workers +
+                                    " jobs=" + jobs +
+                                    (audit ? " audit" : "");
+          std::ostringstream out, err;
+          ASSERT_EQ(cli::run(args, out, err), 0) << label << ": " << err.str();
+          EXPECT_EQ(report_without_env(read_file(json)), want_report)
+              << label;
+          EXPECT_EQ(size_and_digest(read_file(trace)), traces.at(c.name))
+              << label;
+        }
+      }
+    }
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(SyncGolden, SnapshotReproducesAndResumesAtEveryWorkerCount) {
+  const Graph g = io::load(golden_path("gnp32.txt"));
+  NetworkConfig cfg;
+  cfg.seed = 11;
+  cfg.bandwidth = 64;
+  cfg.max_rounds = 64;
+  cfg.faults.drop = 0.05;
+  cfg.faults.corrupt = 0.01;
+  cfg.faults.crashes.push_back({5, 2});
+  cfg.trace.enabled = true;
+  cfg.checkpoint_at_round = 1;
+  const ProgramFactory factory = detect::clique_detect_program(3);
+  const std::string want = read_file(golden_path("snapshot_clique3.json"));
+  const Snapshot golden = load_snapshot(golden_path("snapshot_clique3.json"));
+  const std::string want_trace = golden_traces().at("snapshot_run");
+  const std::string saved =
+      (std::filesystem::temp_directory_path() / "csd_sync_golden_ckpt.json")
+          .string();
+  for (const std::uint32_t w_count : {1u, 2u, 8u}) {
+    const std::string label = "W=" + std::to_string(w_count);
+    NetworkConfig shard_cfg = cfg;
+    shard_cfg.shard.workers = w_count;
+    const Network net(g, shard_cfg);
+    const RunOutcome full = net.run(factory);
+    ASSERT_NE(full.checkpoint, nullptr) << label;
+    save_snapshot(saved, *full.checkpoint);
+    EXPECT_EQ(read_file(saved), want) << label;
+    // The run the snapshot was taken from, as recorded alongside it.
+    EXPECT_EQ(size_and_digest(trace_jsonl(full)), want_trace) << label;
+    EXPECT_EQ(full.metrics.rounds, 64u) << label;
+    EXPECT_EQ(full.metrics.messages, 369u) << label;
+    EXPECT_EQ(full.metrics.total_bits, 6380u) << label;
+    EXPECT_EQ(full.faults.frames_dropped, 17u) << label;
+    EXPECT_EQ(full.faults.frames_corrupted, 5u) << label;
+    EXPECT_EQ(full.faults.crashed_nodes.size(), 11u) << label;
+    EXPECT_EQ(full.faults.violations.size(), 11u) << label;
+    // Resuming the recorded snapshot reproduces the rest of the run.
+    const RunOutcome resumed = net.resume(factory, golden);
+    EXPECT_EQ(resumed.completed, full.completed) << label;
+    EXPECT_EQ(resumed.detected, full.detected) << label;
+    EXPECT_EQ(resumed.verdicts, full.verdicts) << label;
+    EXPECT_EQ(resumed.metrics.rounds, full.metrics.rounds) << label;
+    EXPECT_EQ(resumed.metrics.messages, full.metrics.messages) << label;
+    EXPECT_EQ(resumed.metrics.total_bits, full.metrics.total_bits) << label;
+    EXPECT_EQ(resumed.metrics.bits_sent_by_node,
+              full.metrics.bits_sent_by_node)
+        << label;
+    EXPECT_TRUE(resumed.faults == full.faults) << label;
+  }
+  std::remove(saved.c_str());
 }
 
 }  // namespace

@@ -140,8 +140,8 @@ TEST(SyncCheckpoint, ResumeIsBitIdentical) {
 TEST(SyncCheckpoint, MidSleepSnapshotResumesAndMatchesTheUnscheduledOne) {
   // Node 1 sleeps from round 1 to round 5; the snapshot at round 3 is
   // taken while it sleeps. Scheduling leaves no trace in the snapshot: it
-  // is byte-identical to the unscheduled run's, and resuming it (on the
-  // classic loop and on the sharded one) reproduces the run.
+  // is byte-identical to the unscheduled run's, and resuming it (at one
+  // worker and at two) reproduces the run.
   const auto factory = [](std::uint32_t v) {
     sleepy::ScriptedSleeper::Script script;
     if (v == 0) {
@@ -163,7 +163,7 @@ TEST(SyncCheckpoint, MidSleepSnapshotResumesAndMatchesTheUnscheduledOne) {
   ASSERT_NE(reference.checkpoint, nullptr);
   EXPECT_EQ(to_json(*full.checkpoint).dump(),
             to_json(*reference.checkpoint).dump());
-  for (const std::uint32_t workers : {0u, 2u}) {
+  for (const std::uint32_t workers : {1u, 2u}) {
     NetworkConfig resume_cfg = cfg;
     resume_cfg.shard.workers = workers;
     const auto resumed =

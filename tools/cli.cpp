@@ -89,10 +89,11 @@ commands:
       wall-clock and per-repetition round deadlines, structured stall
       reports, retry-with-reseed for fault-killed repetitions, and
       repetition-granular checkpoint/resume via --checkpoint/--resume.
-      --workers W shards each synchronous run across W superstep worker
-      threads (Pregel-style; --shard-policy picks the partitioner, default
-      range); verdicts, metrics, traces and snapshots are bit-identical
-      for every W and compose with --jobs and --supervised.
+      --workers W (default 1: inline on the calling thread) shards each
+      synchronous run across W superstep worker threads (Pregel-style;
+      --shard-policy picks the partitioner, default range); verdicts,
+      metrics, traces and snapshots are bit-identical for every W and
+      compose with --jobs and --supervised.
       --shard-counters surfaces per-worker channel frame/byte counters in
       the metrics and the trace summary (off by default: the counters are
       worker-count-dependent by nature).
@@ -212,19 +213,17 @@ std::uint64_t to_u64(const std::string& s, const char* what) {
 }
 
 /// --workers / --shard-policy / --shard-counters -> ShardSpec for the
-/// synchronous engine (workers == 0 keeps the classic single loop).
+/// synchronous engine (default: one worker, inline on the calling thread).
 congest::ShardSpec parse_shard(const Invocation& inv) {
   congest::ShardSpec shard;
-  shard.workers = static_cast<std::uint32_t>(
-      to_u64(inv.flag("workers").value_or("0"), "workers"));
-  if (const auto policy = inv.flag("shard-policy")) {
+  if (const auto workers = inv.flag("workers")) {
+    shard.workers = static_cast<std::uint32_t>(to_u64(*workers, "workers"));
+    CSD_CHECK_MSG(shard.workers >= 1, "--workers needs W >= 1");
+  }
+  if (const auto policy = inv.flag("shard-policy"))
     CSD_CHECK_MSG(congest::parse_partition_policy(*policy, shard.policy),
                   "bad --shard-policy '" << *policy << "' (range|hash)");
-    CSD_CHECK_MSG(shard.workers != 0, "--shard-policy needs --workers W");
-  }
   shard.channel_counters = inv.has_flag("shard-counters");
-  CSD_CHECK_MSG(!shard.channel_counters || shard.workers != 0,
-                "--shard-counters needs --workers W");
   return shard;
 }
 
@@ -976,7 +975,7 @@ int cmd_detect(const Invocation& inv, std::ostream& out) {
     CSD_CHECK_MSG(false, "unknown pattern '" << pattern << "'");
   }
 
-  if (shard.workers != 0)
+  if (shard.workers > 1)
     out << "engine:     sync, sharded (" << shard.workers << " worker(s), "
         << congest::to_string(shard.policy) << " partition)\n";
   out << "verdict:    " << (detected ? "REJECT (pattern found)" : "accept")
@@ -1127,7 +1126,7 @@ int cmd_sweep(const Invocation& inv, std::ostream& out) {
 
   out << "C_" << len << " sweep: " << reps << " repetitions per instance, "
       << congest::resolve_jobs(jobs) << " worker thread(s)";
-  if (shard.workers != 0)
+  if (shard.workers > 1)
     out << ", sharded engine (" << shard.workers << " worker(s), "
         << congest::to_string(shard.policy) << " partition)";
   out << '\n';

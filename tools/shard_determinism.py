@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Determinism-matrix gate for the sharded superstep engine.
+"""Determinism-matrix gate for the synchronous engine's worker count.
 
 Usage:
     tools/shard_determinism.py --csd build/tools/csd [--workdir DIR]
@@ -9,8 +9,8 @@ Runs every (workers, jobs) cell of the matrix on two smoke instances —
 the THM11 even-cycle detector (C_4 on a random forest) and the triangle
 detector (on a sparse G(n,p) host) — through the `csd detect` CLI, each
 cell writing a csd-bench-v1 JSON report and a csd-trace-v2 JSONL trace.
-The classic engine (workers = 0, jobs = 1) is the reference cell; every
-other cell must reproduce it bit-for-bit:
+The default cell (workers = 1, jobs = 1) is the reference; every other
+cell must reproduce it bit-for-bit:
 
   * the JSON report is canonicalized by dropping the `env` object
     (wall_clock_ms, jobs, workers, git_sha — the only keys that may
@@ -23,14 +23,13 @@ the triangle instance (and vice versa on a second pass of each), so a
 policy-dependent merge bug cannot hide behind a lucky partition.
 
 Audit cells: on the even-cycle instance (the detector that sleeps through
-idle rounds) every (workers, jobs) cell, classic engine included, runs
-once more with --audit-sleep, which calls sleeping nodes anyway and fails
-the run if such a call does anything. Its digests must match the
-reference too — active-set scheduling is unobservable.
+idle rounds) every (workers, jobs) cell runs once more with --audit-sleep,
+which calls sleeping nodes anyway and fails the run if such a call does
+anything. Its digests must match the reference too — active-set scheduling is unobservable.
 
 --telemetry attaches the csd-metrics-v2 plane (--metrics-out sampler +
 --blackbox flight recorder, DESIGN.md §14) to every matrix cell while
-the classic reference stays uninstrumented — matching digests then also
+the reference stays uninstrumented — matching digests then also
 prove the telemetry plane leaves verdicts, reports and traces untouched.
 
 Exit status: 0 = every cell bit-identical, 1 = divergence (the offending
@@ -77,10 +76,9 @@ def detect_cell(csd: str, instance: dict, workdir: Path, workers: int,
     trace_path = workdir / f"{tag}.jsonl"
     cmd = [csd, "detect", *instance["pattern"], str(instance["graph"]),
            "--reps", str(instance["reps"]), "--seed", "11",
-           "--jobs", str(jobs),
+           "--jobs", str(jobs), "--workers", str(workers),
+           "--shard-policy", policy,
            "--json", str(json_path), "--trace", str(trace_path)]
-    if workers != 0:
-        cmd += ["--workers", str(workers), "--shard-policy", policy]
     if audit:
         cmd += ["--audit-sleep"]
     if telemetry:
@@ -99,8 +97,8 @@ def main() -> int:
                         help="where instances and reports go "
                              "(default: a temp dir)")
     parser.add_argument("--workers", default="1,2,8",
-                        help="comma list of worker counts (0 = classic "
-                             "reference, always added)")
+                        help="comma list of worker counts (the W = 1, "
+                             "jobs = 1 reference is always run)")
     parser.add_argument("--jobs", default="1,4",
                         help="comma list of --jobs fan-outs")
     parser.add_argument("--reps", type=int, default=32,
@@ -135,15 +133,14 @@ def main() -> int:
     failures = 0
     cells = 0
     for instance in instances:
-        ref = detect_cell(args.csd, instance, workdir, 0, 1, "range",
+        ref = detect_cell(args.csd, instance, workdir, 1, 1, "range",
                           f"{instance['name']}-ref")
-        print(f"{instance['name']}: reference (classic engine) "
+        print(f"{instance['name']}: reference (W = 1, jobs = 1) "
               f"json={ref[0][:12]} trace={ref[1][:12]}")
         matrix = [(w, j, policy, False) for w in workers for j in jobs
                   for policy in ("range", "hash")]
         if instance["sleeps"]:
-            matrix += [(w, j, "range", True) for w in [0, *workers]
-                       for j in jobs]
+            matrix += [(w, j, "range", True) for w in workers for j in jobs]
         for w, j, policy, audit in matrix:
             tag = f"{instance['name']}-w{w}-j{j}-{policy}"
             if audit:
@@ -166,13 +163,13 @@ def main() -> int:
                           file=sys.stderr)
 
     if failures:
-        print(f"FAIL: {failures} matrix cell(s) diverged from the classic "
-              f"engine — sharding or the sleep audit broke bit-identity",
+        print(f"FAIL: {failures} matrix cell(s) diverged from the W = 1 "
+              f"reference — sharding or the sleep audit broke bit-identity",
               file=sys.stderr)
         return 1
     suffix = " (telemetry attached)" if args.telemetry else ""
-    print(f"OK: {cells} matrix cell(s) bit-identical to the classic "
-          f"engine{suffix}")
+    print(f"OK: {cells} matrix cell(s) bit-identical to the W = 1 "
+          f"reference{suffix}")
     return 0
 
 
