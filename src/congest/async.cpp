@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <deque>
-#include <queue>
-#include <unordered_map>
 
 #include "congest/node_state.hpp"
 #include "obs/metrics_v2.hpp"
@@ -28,14 +26,80 @@ struct Event {
   // Receiver side (valid for Data; for Ack it is the original data sender).
   std::uint32_t dst = 0;
   std::uint32_t dst_port = 0;
+  std::uint32_t packet = 0;    // Data only: the packet's slot in packets_
   std::uint64_t link_seq = 0;  // transport sequence number (Ack/Timer/Data)
-  DataPacket packet;           // Data only (raw mode leaves seq/crc zero)
 };
 
-struct EventLater {
-  bool operator()(const Event& a, const Event& b) const {
+/// Objects in recycled slots: put() returns a slot, take() moves the object
+/// out and frees its slot for the next put().
+template <typename T>
+class Slab {
+ public:
+  std::uint32_t put(T item) {
+    if (free_.empty()) {
+      items_.push_back(std::move(item));
+      return static_cast<std::uint32_t>(items_.size() - 1);
+    }
+    const std::uint32_t slot = free_.back();
+    free_.pop_back();
+    items_[slot] = std::move(item);
+    return slot;
+  }
+  T take(std::uint32_t slot) {
+    free_.push_back(slot);
+    return std::move(items_[slot]);
+  }
+  const T& operator[](std::uint32_t slot) const { return items_[slot]; }
+
+ private:
+  std::vector<T> items_;
+  std::vector<std::uint32_t> free_;
+};
+
+/// Pending events in (time, seq) order: a binary min-heap of 24-byte keys
+/// over a slab of events, so a sift moves keys, never events. seq is
+/// unique, so the pop order is the same total order whatever the heap's
+/// layout.
+class EventQueue {
+ public:
+  bool empty() const noexcept { return heap_.empty(); }
+  std::size_t size() const noexcept { return heap_.size(); }
+  std::uint64_t top_time() const { return heap_.front().time; }
+
+  void push(Event event) {
+    const Key key{event.time, event.seq, slab_.put(std::move(event))};
+    heap_.push_back(key);
+    std::push_heap(heap_.begin(), heap_.end(), later);
+  }
+
+  /// Remove the earliest event.
+  Event take() {
+    std::pop_heap(heap_.begin(), heap_.end(), later);
+    const std::uint32_t slot = heap_.back().slot;
+    heap_.pop_back();
+    return slab_.take(slot);
+  }
+
+  /// Visit every pending event in (time, seq) order.
+  template <typename Visit>
+  void for_each_in_order(Visit&& visit) const {
+    std::vector<Key> keys = heap_;
+    std::sort(keys.begin(), keys.end(),
+              [](const Key& a, const Key& b) { return later(b, a); });
+    for (const Key& key : keys) visit(slab_[key.slot]);
+  }
+
+ private:
+  struct Key {
+    std::uint64_t time;
+    std::uint64_t seq;
+    std::uint32_t slot;
+  };
+  static bool later(const Key& a, const Key& b) {
     return a.time != b.time ? a.time > b.time : a.seq > b.seq;
   }
+  std::vector<Key> heap_;
+  Slab<Event> slab_;
 };
 
 /// Synchronizer bookkeeping per node.
@@ -85,27 +149,8 @@ class AsyncEngine {
         config_.recovery.enabled || config_.checkpoint_at_pulse != 0;
     if (log_enabled_) inbox_log_.resize(n);
 
-    // Reverse-port table in O(sum deg) expected time via per-vertex port
-    // maps (mirrors Network::build_topology_tables; the old per-neighbor
-    // std::find scan was O(sum deg^2)). Stored flat over the CSR's dense
-    // directed-edge index e = offsets[v] + port.
     csr_ = &topology_.csr();
-    std::vector<std::unordered_map<Vertex, std::uint32_t>> port_of(n);
-    for (Vertex v = 0; v < n; ++v) {
-      const auto nbrs = csr_->row(v);
-      port_of[v].reserve(nbrs.size());
-      for (std::uint32_t p = 0; p < nbrs.size(); ++p) port_of[v][nbrs[p]] = p;
-    }
-    rev_port_.resize(static_cast<std::size_t>(csr_->num_directed_edges()));
-    for (Vertex v = 0; v < n; ++v) {
-      const auto nbrs = csr_->row(v);
-      const std::uint64_t base = csr_->offsets[v];
-      for (std::uint32_t p = 0; p < nbrs.size(); ++p) {
-        const auto it = port_of[nbrs[p]].find(v);
-        CSD_CHECK(it != port_of[nbrs[p]].end());
-        rev_port_[base + p] = it->second;
-      }
-    }
+    rev_port_ = reverse_ports(*csr_);
     inbox_arena_ = detail::FrameArena(*csr_);
     outbox_arena_ = detail::FrameArena(*csr_);
 
@@ -204,23 +249,24 @@ class AsyncEngine {
       if (config_.checkpoint_at_pulse != 0 && outcome_.checkpoint == nullptr &&
           outcome_.pulses >= config_.checkpoint_at_pulse)
         capture_checkpoint();
-      const Event event = events_.top();
+      const std::uint64_t next_time = events_.top_time();
       if (config_.stall_window != 0 &&
-          event.time > last_progress_vt_ + config_.stall_window * base_rto_) {
+          next_time > last_progress_vt_ + config_.stall_window * base_rto_) {
         // No delivery or recovery for stall_window RTOs of virtual time:
         // cut the run instead of grinding through a dead event queue.
         outcome_.faults.watchdog_stalls = 1;
         if (telemetry_ != nullptr)
-          telemetry_->record(obs::EventKind::WatchdogStall, 0, event.time,
-                             event.time - last_progress_vt_);
+          telemetry_->record(obs::EventKind::WatchdogStall, 0, next_time,
+                             next_time - last_progress_vt_);
         break;
       }
-      events_.pop();
-      // Per-event timing: nested program execution is subtracted (it books
-      // itself into compute_ns); the remainder is synchronizer/delivery
-      // work for Data events and reliable-transport work for Ack/Timer.
+      // Per-event timing, pop included: nested program execution is
+      // subtracted (it books itself into compute_ns); the remainder is
+      // synchronizer/delivery work for Data and Recover events and
+      // reliable-transport work for Ack/Timer.
       const auto started = timing_ ? Clock::now() : Clock::time_point{};
       const std::uint64_t compute_before = outcome_.timers.compute_ns;
+      const Event event = events_.take();
       switch (event.kind) {
         case Event::Kind::Data:
           outcome_.virtual_time = std::max(outcome_.virtual_time, event.time);
@@ -395,7 +441,7 @@ class AsyncEngine {
     event.dst = csr_->row(src)[port];
     event.dst_port = rev_port_[csr_->offsets[src] + port];
     event.link_seq = packet.seq;
-    event.packet = std::move(packet);
+    event.packet = packets_.put(std::move(packet));
     push_event(std::move(event));
   }
 
@@ -443,6 +489,7 @@ class AsyncEngine {
   }
 
   void deliver_data(const Event& event) {
+    DataPacket packet = packets_.take(event.packet);
     // A permanently dead host neither acks nor buffers: its packets fall
     // into the void and the senders' retry budgets eventually give up —
     // mirroring handle_timer, where a permanent crash kills the transport
@@ -452,8 +499,8 @@ class AsyncEngine {
     const auto& dst_sync = sync_[event.dst];
     if (dst_sync.crashed && !dst_sync.recovery_pending) return;
     if (reliable_) {
-      auto accept = receivers_[event.dst][event.dst_port].on_data(event.packet);
-      if (accept.checksum_reject) {
+      receivers_[event.dst][event.dst_port].on_data(std::move(packet), accept_);
+      if (accept_.checksum_reject) {
         ++outcome_.faults.checksum_rejects;
         if (telemetry_ != nullptr) {
           m_crc_rejects_.add();
@@ -462,17 +509,17 @@ class AsyncEngine {
         }
         return;
       }
-      if (accept.send_ack)
-        send_ack(event.dst, event.dst_port, accept.ack_seq, event.time,
+      if (accept_.send_ack)
+        send_ack(event.dst, event.dst_port, accept_.ack_seq, event.time,
                  event.src, event.src_port);
-      if (accept.duplicate) {
+      if (accept_.duplicate) {
         ++outcome_.faults.duplicate_packets;
         return;
       }
-      for (Frame& frame : accept.deliver)
+      for (Frame& frame : accept_.deliver)
         deliver_frame(event.dst, event.dst_port, std::move(frame), event.time);
     } else {
-      deliver_frame(event.dst, event.dst_port, Frame(event.packet.frame),
+      deliver_frame(event.dst, event.dst_port, std::move(packet.frame),
                     event.time);
     }
   }
@@ -810,7 +857,7 @@ class AsyncEngine {
     return h;
   }
 
-  static EventRecord to_record(const Event& event) {
+  EventRecord to_record(const Event& event) const {
     EventRecord record;
     record.time = event.time;
     record.seq = event.seq;
@@ -820,13 +867,16 @@ class AsyncEngine {
     record.dst = event.dst;
     record.dst_port = event.dst_port;
     record.link_seq = event.link_seq;
-    record.packet_seq = event.packet.seq;
-    record.packet_crc = event.packet.crc;
-    record.frame = event.packet.frame;
+    if (event.kind == Event::Kind::Data) {
+      const DataPacket& packet = packets_[event.packet];
+      record.packet_seq = packet.seq;
+      record.packet_crc = packet.crc;
+      record.frame = packet.frame;
+    }
     return record;
   }
 
-  static Event from_record(const EventRecord& record) {
+  Event from_record(const EventRecord& record) {
     CSD_CHECK_MSG(record.kind <= 3, "unknown event kind in snapshot");
     Event event;
     event.time = record.time;
@@ -837,9 +887,9 @@ class AsyncEngine {
     event.dst = record.dst;
     event.dst_port = record.dst_port;
     event.link_seq = record.link_seq;
-    event.packet.seq = record.packet_seq;
-    event.packet.crc = record.packet_crc;
-    event.packet.frame = record.frame;
+    if (event.kind == Event::Kind::Data)
+      event.packet = packets_.put(
+          DataPacket{record.packet_seq, record.frame, record.packet_crc});
     return event;
   }
 
@@ -877,11 +927,8 @@ class AsyncEngine {
       }
       ns.link_watermark = link_watermark_[v];
     }
-    auto queue = events_;
-    while (!queue.empty()) {
-      s.events.push_back(to_record(queue.top()));
-      queue.pop();
-    }
+    events_.for_each_in_order(
+        [&](const Event& event) { s.events.push_back(to_record(event)); });
     s.next_event_seq = next_event_seq_;
     s.delay_rng = delay_rng_.state();
     if (injector_.has_value()) s.fault_streams = injector_->save_streams();
@@ -1017,7 +1064,11 @@ class AsyncEngine {
   std::vector<SyncState> sync_;
   std::vector<std::vector<LinkSender>> senders_;      // reliable mode only
   std::vector<std::vector<LinkReceiver>> receivers_;  // reliable mode only
-  std::priority_queue<Event, std::vector<Event>, EventLater> events_;
+  EventQueue events_;
+  /// The packets of queued Data events, apart from the events themselves.
+  Slab<DataPacket> packets_;
+  /// Reused by every reliable delivery, so its frame buffer is allocated once.
+  LinkReceiver::Accept accept_;
   std::uint64_t next_event_seq_ = 0;
   Vertex halted_count_ = 0;   // gracefully halted
   Vertex stopped_count_ = 0;  // halted or crashed

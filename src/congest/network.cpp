@@ -8,7 +8,6 @@
 #include <limits>
 #include <mutex>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 
 #include "congest/active_set.hpp"
@@ -243,22 +242,15 @@ Network::Network(Graph topology, NetworkConfig config,
 
 // Port mapping: port p of node v leads to topology_.neighbors(v)[p]; for
 // delivery we need the reverse port on the receiving side. Built once per
-// topology in O(sum deg) expected time via per-vertex port maps (the old
-// per-run std::find scan was O(sum deg^2) and re-paid on every repetition).
-// The tables are flat arrays over the CSR's dense directed-edge index, so
-// the delivery loop walks them linearly with no pointer chasing.
+// topology in O(n + m) (graph/graph.hpp: reverse_ports). The tables are flat
+// arrays over the CSR's dense directed-edge index, so the delivery loop
+// walks them linearly with no pointer chasing.
 void Network::build_topology_tables() {
   const Vertex n = topology_.num_vertices();
   csr_ = &topology_.csr();  // materialize once; shared const reads after
   const auto& offsets = csr_->offsets;
-  std::vector<std::unordered_map<Vertex, std::uint32_t>> port_of(n);
-  for (Vertex v = 0; v < n; ++v) {
-    const auto nbrs = csr_->row(v);
-    port_of[v].reserve(nbrs.size());
-    for (std::uint32_t p = 0; p < nbrs.size(); ++p) port_of[v][nbrs[p]] = p;
-  }
+  rev_port_ = reverse_ports(*csr_);
   const auto m2 = static_cast<std::size_t>(csr_->num_directed_edges());
-  rev_port_.resize(m2);
   rev_edge_.resize(m2);
   neighbor_ids_flat_.resize(m2);
   for (Vertex v = 0; v < n; ++v) {
@@ -266,10 +258,7 @@ void Network::build_topology_tables() {
     const std::uint64_t base = offsets[v];
     for (std::uint32_t p = 0; p < nbrs.size(); ++p) {
       const Vertex w = nbrs[p];
-      const auto it = port_of[w].find(v);
-      CSD_CHECK(it != port_of[w].end());
-      rev_port_[base + p] = it->second;
-      rev_edge_[base + p] = offsets[w] + it->second;
+      rev_edge_[base + p] = offsets[w] + rev_port_[base + p];
       neighbor_ids_flat_[base + p] = ids_[w];
     }
   }

@@ -60,13 +60,6 @@ std::uint64_t LinkSender::timeout_for(std::uint64_t seq,
   return base_rto << shift;
 }
 
-std::vector<std::uint64_t> LinkSender::pending_seqs() const {
-  std::vector<std::uint64_t> seqs;
-  seqs.reserve(pending_.size());
-  for (const auto& [seq, pending] : pending_) seqs.push_back(seq);
-  return seqs;
-}
-
 LinkSenderState LinkSender::save_state() const {
   LinkSenderState state;
   state.next_seq = next_seq_;
@@ -85,27 +78,31 @@ void LinkSender::restore_state(const LinkSenderState& state) {
                      Pending{entry.frame, entry.crc, entry.attempts});
 }
 
-LinkReceiver::Accept LinkReceiver::on_data(const DataPacket& packet) {
-  Accept accept;
+void LinkReceiver::on_data(DataPacket&& packet, Accept& accept) {
+  accept = Accept{.deliver = std::move(accept.deliver)};  // keeps capacity
+  accept.deliver.clear();
   if (packet_checksum(packet.seq, packet.frame, config_) != packet.crc) {
     accept.checksum_reject = true;
-    return accept;
+    return;
   }
   accept.send_ack = true;
   accept.ack_seq = packet.seq;
-  if (packet.seq < next_expected_ ||
-      reorder_.find(packet.seq) != reorder_.end()) {
+  if (packet.seq < next_expected_ || reorder_.contains(packet.seq)) {
     accept.duplicate = true;
-    return accept;
+    return;
   }
-  reorder_.emplace(packet.seq, packet.frame);
+  if (packet.seq != next_expected_) {
+    reorder_.emplace(packet.seq, std::move(packet.frame));
+    return;
+  }
+  accept.deliver.push_back(std::move(packet.frame));
+  ++next_expected_;
   for (auto it = reorder_.find(next_expected_); it != reorder_.end();
        it = reorder_.find(next_expected_)) {
     accept.deliver.push_back(std::move(it->second));
     reorder_.erase(it);
     ++next_expected_;
   }
-  return accept;
 }
 
 LinkReceiverState LinkReceiver::save_state() const {

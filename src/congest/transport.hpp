@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "support/bitvec.hpp"
@@ -150,11 +151,6 @@ class LinkSender {
   /// Packets not yet acknowledged or abandoned.
   std::size_t in_flight() const noexcept { return pending_.size(); }
 
-  /// Sequence numbers of all in-flight packets, ascending. Used by node
-  /// recovery to re-arm retransmission timers after a rejoin (the timers a
-  /// crashed host would have serviced fired into the void).
-  std::vector<std::uint64_t> pending_seqs() const;
-
   LinkSenderState save_state() const;
   void restore_state(const LinkSenderState& state);
 
@@ -191,7 +187,16 @@ class LinkReceiver {
     /// Frames released to the synchronizer, in sequence order.
     std::vector<Frame> deliver;
   };
-  Accept on_data(const DataPacket& packet);
+  /// Consume `packet` into `accept`, which is reset first (its `deliver`
+  /// keeps its capacity, so a reused Accept costs no allocation). An
+  /// in-order packet goes straight to `deliver`; only a packet that arrives
+  /// ahead of a gap is held in the reorder buffer.
+  void on_data(DataPacket&& packet, Accept& accept);
+  Accept on_data(DataPacket packet) {
+    Accept accept;
+    on_data(std::move(packet), accept);
+    return accept;
+  }
 
   std::uint64_t next_expected() const noexcept { return next_expected_; }
 

@@ -4,6 +4,35 @@
 
 namespace csd {
 
+std::vector<std::uint32_t> reverse_ports(const GraphCsr& csr) {
+  const std::size_t n = csr.offsets.empty() ? 0 : csr.offsets.size() - 1;
+  const auto first = csr.offsets.begin();
+  const auto last = first + static_cast<std::ptrdiff_t>(n);
+  // Transpose: scanning the sources v in ascending order fills w's slots
+  // offsets[w].. with w's neighbours in ascending order.
+  std::vector<std::uint64_t> cursor(first, last);
+  std::vector<std::uint32_t> slot(csr.neighbors.size());
+  for (Vertex v = 0; v < n; ++v)
+    for (const Vertex w : csr.row(v)) slot[cursor[w]++] = v;
+  // Rewrite each slot's neighbour v as v's port in w's row.
+  std::vector<std::uint32_t> port_of(n);
+  for (Vertex w = 0; w < n; ++w) {
+    const auto nbrs = csr.row(w);
+    for (std::uint32_t q = 0; q < nbrs.size(); ++q) port_of[nbrs[q]] = q;
+    for (auto i = csr.offsets[w]; i < csr.offsets[w + 1]; ++i)
+      slot[i] = port_of[slot[i]];
+  }
+  // The same scan again visits the same slots in the same order.
+  std::copy(first, last, cursor.begin());
+  std::vector<std::uint32_t> rev(slot.size());
+  for (Vertex v = 0; v < n; ++v) {
+    const auto nbrs = csr.row(v);
+    for (std::uint32_t p = 0; p < nbrs.size(); ++p)
+      rev[csr.offsets[v] + p] = slot[cursor[nbrs[p]]++];
+  }
+  return rev;
+}
+
 std::vector<std::pair<Vertex, Vertex>> Graph::edges() const {
   std::vector<std::pair<Vertex, Vertex>> out;
   out.reserve(num_edges_);

@@ -37,6 +37,12 @@ struct GraphCsr {
   }
 };
 
+/// Reverse ports of an undirected graph's CSR: for the directed edge
+/// e = offsets[v] + p from v to w = row(v)[p], rev[e] is the port of v in
+/// w's row, so row(w)[rev[e]] == v. O(n + m) time: one transpose pass and an
+/// n-sized position array, no hashing.
+std::vector<std::uint32_t> reverse_ports(const GraphCsr& csr);
+
 /// Undirected simple graph with O(1) amortized edge insertion, O(1) expected
 /// adjacency queries, and cache-friendly neighbor iteration.
 class Graph {

@@ -8,6 +8,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace csd {
 
@@ -18,6 +19,18 @@ class CheckFailure : public std::logic_error {
 };
 
 namespace detail {
+/// `file` (a __FILE__) relative to the source root, so a message reads the
+/// same from every checkout and build tree. This header lives at
+/// src/support/check.hpp below the root, which gives the root's prefix;
+/// a path outside the root passes through whole.
+consteval const char* source_relative(const char* file) {
+  constexpr std::string_view self = __FILE__;
+  constexpr std::string_view below_root = "src/support/check.hpp";
+  if (!self.ends_with(below_root)) return file;
+  const std::string_view root = self.substr(0, self.size() - below_root.size());
+  return std::string_view(file).starts_with(root) ? file + root.size() : file;
+}
+
 [[noreturn]] inline void check_failed(const char* expr, const char* file,
                                       int line, const std::string& msg) {
   std::ostringstream os;
@@ -29,9 +42,13 @@ namespace detail {
 
 }  // namespace csd
 
+/// The calling file's path below the source root, fixed at compile time.
+#define CSD_SOURCE_FILE (::csd::detail::source_relative(__FILE__))
+
 #define CSD_CHECK(expr)                                              \
   do {                                                               \
-    if (!(expr)) ::csd::detail::check_failed(#expr, __FILE__, __LINE__, ""); \
+    if (!(expr))                                                     \
+      ::csd::detail::check_failed(#expr, CSD_SOURCE_FILE, __LINE__, ""); \
   } while (false)
 
 #define CSD_CHECK_MSG(expr, msg)                                     \
@@ -39,7 +56,7 @@ namespace detail {
     if (!(expr)) {                                                   \
       std::ostringstream csd_check_os_;                              \
       csd_check_os_ << msg;                                          \
-      ::csd::detail::check_failed(#expr, __FILE__, __LINE__,         \
+      ::csd::detail::check_failed(#expr, CSD_SOURCE_FILE, __LINE__,  \
                                   csd_check_os_.str());              \
     }                                                                \
   } while (false)

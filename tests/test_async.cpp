@@ -4,6 +4,13 @@
 // simulator — which is what justifies studying them synchronously.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <map>
+#include <set>
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "congest/async.hpp"
 #include "congest/network.hpp"
 #include "detect/clique_detect.hpp"
@@ -12,8 +19,10 @@
 #include "detect/tree_detect.hpp"
 #include "congest/primitives.hpp"
 #include "detect/weighted_cycle.hpp"
+#include "golden_files.hpp"
 #include "graph/builders.hpp"
 #include "support/rng.hpp"
+#include "tools/cli.hpp"
 
 namespace csd::congest {
 namespace {
@@ -421,6 +430,141 @@ TEST(AsyncEngine, TransportOverheadAccountedSeparately) {
   EXPECT_GT(hard.faults.retransmissions, 0u);
   EXPECT_GT(hard.transport_bits, base.transport_bits);
   EXPECT_GT(hard.acks, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Golden outputs (corpus/async_golden/), recorded before the wire plane's
+// event queue, CRC and in-order receive path were rewritten
+// ---------------------------------------------------------------------------
+
+std::string async_golden(const std::string& name) {
+  return std::string(CSD_ASYNC_GOLDEN_DIR) + "/" + name;
+}
+
+/// csd's stdout without the lines that name an output or input file.
+std::string without_file_lines(const std::string& text) {
+  std::istringstream is(text);
+  std::string line, kept;
+  while (std::getline(is, line))
+    if (!line.starts_with("json:") && !line.starts_with("trace:") &&
+        !line.starts_with("checkpoint:") && !line.starts_with("resumed:"))
+      kept += line + '\n';
+  return kept;
+}
+
+TEST(AsyncGolden, CliOutputsSnapshotsAndResumesReproduce) {
+  const std::map<std::string, std::vector<std::string>> hosts = {
+      {"cycle4",
+       {"cycle", "4", "forest256.txt", "--reps", "8", "--seed", "11"}},
+      {"clique3", {"clique", "3", "gnp96.txt", "--seed", "11"}},
+  };
+  const std::map<std::string, std::vector<std::string>> wires = {
+      {"reliable",
+       {"--transport", "reliable", "--drop", "0.1", "--corrupt", "0.01"}},
+      {"raw", {"--transport", "raw", "--drop", "0.05"}},
+      {"raw_corrupt", {"--transport", "raw", "--corrupt", "0.01"}},
+      {"recover", {"--transport", "reliable", "--recover", "--crash", "7:3"}},
+  };
+  struct Snap {
+    std::string name, pulse;
+    std::vector<std::string> wire;
+  };
+  const std::vector<Snap> snaps = {
+      {"snapshot_reliable", "3", wires.at("reliable")},
+      {"snapshot_raw_fault", "4", wires.at("raw_corrupt")},
+  };
+  const std::map<std::string, std::string> traces =
+      golden::read_traces(async_golden("traces.txt"));
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "csd_async_golden";
+  std::filesystem::create_directories(dir);
+  const std::string json = (dir / "report.json").string();
+  const std::string trace = (dir / "trace.jsonl").string();
+  const std::string ckpt = (dir / "ckpt.json").string();
+
+  // Run `csd detect args...`; its report and stdout must be `expected`'s and
+  // its trace must be `trace_name`'s.
+  const auto check = [&](const std::string& expected,
+                         const std::string& trace_name,
+                         const std::vector<std::string>& args) {
+    std::vector<std::string> argv = {"detect"};
+    for (const std::string& a : args)
+      argv.push_back(a.ends_with(".txt")
+                         ? std::string(CSD_SYNC_GOLDEN_DIR) + "/" + a
+                         : a);
+    for (const std::string& a : {std::string("--json"), json,
+                                 std::string("--trace"), trace})
+      argv.push_back(a);
+    std::ostringstream out, err;
+    ASSERT_EQ(cli::run(argv, out, err), 0) << trace_name << ": " << err.str();
+    EXPECT_EQ(golden::report_without_env(golden::read_file(json)),
+              golden::report_without_env(
+                  golden::read_file(async_golden(expected + ".report.json"))))
+        << trace_name;
+    EXPECT_EQ(without_file_lines(out.str()),
+              golden::read_file(async_golden(expected + ".out")))
+        << trace_name;
+    EXPECT_EQ(golden::size_and_digest(golden::read_file(trace)),
+              traces.at(trace_name))
+        << trace_name;
+  };
+
+  for (const auto& [host, host_args] : hosts) {
+    for (const auto& [wire, wire_args] : wires) {
+      std::vector<std::string> args = host_args;
+      args.insert(args.end(), wire_args.begin(), wire_args.end());
+      check(host + "_" + wire, host + "_" + wire, args);
+    }
+  }
+  for (const Snap& snap : snaps) {
+    std::vector<std::string> args = {"clique", "3",  "gnp32.txt",
+                                     "--seed", "11"};
+    args.insert(args.end(), snap.wire.begin(), snap.wire.end());
+    std::vector<std::string> capture = args;
+    for (const std::string& a :
+         {std::string("--checkpoint-at"), snap.pulse,
+          std::string("--checkpoint"), ckpt})
+      capture.push_back(a);
+    check(snap.name, snap.name, capture);
+    EXPECT_EQ(golden::read_file(ckpt),
+              golden::read_file(async_golden(snap.name + ".json")))
+        << snap.name;
+    // Resuming the recorded snapshot finishes the same run: the same
+    // report and fault summary, and the trace of the pulses after it.
+    args.push_back("--resume");
+    args.push_back(async_golden(snap.name + ".json"));
+    check(snap.name, snap.name + "_resume", args);
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(AsyncGolden, SnapshotsHoldInFlightTransportStateAndAProgramFault) {
+  // The reliable snapshot was captured mid-conversation: data, ack and
+  // timer events are all queued, and some link holds frames that arrived
+  // ahead of a gap.
+  const Snapshot reliable =
+      load_snapshot(async_golden("snapshot_reliable.json"));
+  std::set<int> kinds;
+  for (const EventRecord& event : reliable.async_state.events)
+    kinds.insert(event.kind);
+  for (const int kind : {0, 1, 2})  // Data, Ack, Timer
+    EXPECT_TRUE(kinds.contains(kind)) << "no queued event of kind " << kind;
+  bool reordering = false;
+  for (const AsyncNodeSnapshot& node : reliable.async_state.nodes)
+    for (const LinkReceiverState& receiver : node.receivers)
+      reordering |= !receiver.reorder.empty();
+  EXPECT_TRUE(reordering);
+
+  // The raw-mode snapshot holds a program fault, whose CHECK message names
+  // its source file relative to the source root, so the bytes are the same
+  // from every checkout.
+  const Snapshot raw = load_snapshot(async_golden("snapshot_raw_fault.json"));
+  ASSERT_EQ(raw.async_state.faults.violations.size(), 1u);
+  const ProtocolViolation& fault = raw.async_state.faults.violations[0];
+  EXPECT_EQ(fault.kind, ViolationKind::ProgramFault);
+  EXPECT_NE(fault.detail.find(" at src/detect/clique_detect.cpp:"),
+            std::string::npos)
+      << fault.detail;
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include "graph/builders.hpp"
 #include "support/check.hpp"
 #include "support/crc.hpp"
+#include "support/rng.hpp"
 
 namespace csd::congest {
 namespace {
@@ -26,6 +27,63 @@ TEST(Crc32, KnownAnswerCheckValue) {
   for (const char c : std::string("123456789"))
     crc.bits(static_cast<std::uint64_t>(static_cast<unsigned char>(c)), 8);
   EXPECT_EQ(crc.value(), 0xCBF43926u);
+}
+
+/// Bit-serial CRC-32, the reference the bytewise table must reproduce: one
+/// shift-and-conditional-xor step per input bit, in order.
+class SerialCrc32 {
+ public:
+  void bits(std::uint64_t value, unsigned width) {
+    for (unsigned i = 0; i < width; ++i) {
+      const std::uint32_t mix = (state_ ^ (value >> i)) & 1u;
+      state_ >>= 1;
+      if (mix) state_ ^= 0xedb88320u;
+    }
+  }
+  std::uint32_t value() const { return state_ ^ 0xffffffffu; }
+
+ private:
+  std::uint32_t state_ = 0xffffffffu;
+};
+
+TEST(Crc32, TableMatchesBitSerialAtEveryWidth) {
+  Rng rng(3);
+  for (unsigned width = 0; width <= 64; ++width) {
+    for (int trial = 0; trial < 20; ++trial) {
+      // A prefix of 0..8 bits feeds the field at every alignment.
+      const auto prefix_width = static_cast<unsigned>(trial % 9);
+      const std::uint64_t prefix = rng();
+      std::uint64_t value = rng();
+      if (width < 64) value &= (1ULL << width) - 1;
+      Crc32 table;
+      SerialCrc32 serial;
+      table.bits(prefix, prefix_width);
+      serial.bits(prefix, prefix_width);
+      table.bits(value, width);
+      serial.bits(value, width);
+      EXPECT_EQ(table.value(), serial.value())
+          << "width " << width << " prefix " << prefix_width;
+    }
+  }
+}
+
+TEST(Crc32, RawMatchesBitSerialOnRandomBitVecs) {
+  Rng rng(5);
+  for (std::size_t length = 0; length <= 300; ++length) {
+    BitVec v;
+    for (std::size_t i = 0; i < length; ++i) v.push_back(rng.coin());
+    SerialCrc32 serial;
+    for (std::size_t i = 0; i < length; ++i) serial.bits(v.get(i), 1);
+    EXPECT_EQ(crc32_bits(v), serial.value()) << "length " << length;
+    // After an odd-width header, as packet_checksum feeds a payload.
+    Crc32 table;
+    SerialCrc32 framed;
+    table.bits(length, 35);
+    framed.bits(length, 35);
+    table.raw(v);
+    for (std::size_t i = 0; i < length; ++i) framed.bits(v.get(i), 1);
+    EXPECT_EQ(table.value(), framed.value()) << "framed length " << length;
+  }
 }
 
 TEST(Crc32, DetectsEverySingleBitFlip) {

@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <functional>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "graph/algorithms.hpp"
 #include "graph/builders.hpp"
@@ -90,6 +92,42 @@ TEST(Graph, SortAdjacencyGivesDeterministicIteration) {
   g.sort_adjacency();
   const auto nbrs = g.neighbors(0);
   EXPECT_TRUE(std::is_sorted(nbrs.begin(), nbrs.end()));
+}
+
+TEST(Graph, ReversePortsMatchBruteForce) {
+  // Reference: find v in its neighbour's row with std::find.
+  const auto check = [](const Graph& g, const std::string& label) {
+    const GraphCsr& csr = g.csr();
+    const std::vector<std::uint32_t> rev = reverse_ports(csr);
+    ASSERT_EQ(rev.size(), csr.num_directed_edges()) << label;
+    for (Vertex v = 0; v < g.num_vertices(); ++v) {
+      const auto nbrs = csr.row(v);
+      for (std::uint32_t p = 0; p < nbrs.size(); ++p) {
+        const auto back = csr.row(nbrs[p]);
+        const auto want = std::find(back.begin(), back.end(), v) - back.begin();
+        EXPECT_EQ(rev[csr.offsets[v] + p], static_cast<std::uint32_t>(want))
+            << label << ": v " << v << " port " << p;
+      }
+    }
+  };
+  check(Graph(), "n = 0");
+  check(Graph(1), "n = 1");
+  check(build::star(1), "star 1");
+  check(build::star(9), "star 9");
+  check(build::complete(6), "K6");
+  Rng rng(17);
+  for (int trial = 0; trial < 20; ++trial) {
+    // Sparse G(n,p) leaves isolated vertices; adding edges to a built
+    // graph puts rows out of ascending order.
+    const Vertex n = static_cast<Vertex>(2 + rng.below(60));
+    Graph g = build::gnp(n, trial % 2 == 0 ? 0.05 : 0.4, rng);
+    for (int extra = 0; extra < 5; ++extra) {
+      const auto u = static_cast<Vertex>(rng.below(n));
+      const auto w = static_cast<Vertex>(rng.below(n));
+      if (u != w && !g.has_edge(u, w)) g.add_edge(u, w);
+    }
+    check(g, "random trial " + std::to_string(trial));
+  }
 }
 
 // -------------------------------------------------------------- builders --

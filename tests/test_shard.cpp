@@ -12,7 +12,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -25,9 +24,9 @@
 #include "detect/clique_detect.hpp"
 #include "fuzz/fuzz_case.hpp"
 #include "fuzz/generator.hpp"
+#include "golden_files.hpp"
 #include "graph/builders.hpp"
 #include "graph/io.hpp"
-#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/metrics_v2.hpp"
 #include "sleepy_programs.hpp"
@@ -589,44 +588,13 @@ std::string golden_path(const std::string& name) {
   return std::string(CSD_SYNC_GOLDEN_DIR) + "/" + name;
 }
 
-std::string read_file(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  EXPECT_TRUE(is.good()) << path;
-  std::ostringstream os;
-  os << is.rdbuf();
-  return os.str();
-}
-
-/// "<bytes> <FNV-1a 64, hex>", the form traces.txt records a trace in.
-std::string size_and_digest(const std::string& bytes) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  char hex[17];
-  std::snprintf(hex, sizeof hex, "%016llx",
-                static_cast<unsigned long long>(h));
-  return std::to_string(bytes.size()) + " " + hex;
-}
-
 std::map<std::string, std::string> golden_traces() {
-  std::map<std::string, std::string> traces;
-  std::istringstream is(read_file(golden_path("traces.txt")));
-  std::string name, size, digest;
-  while (is >> name >> size >> digest) traces[name] = size + " " + digest;
-  return traces;
+  return golden::read_traces(golden_path("traces.txt"));
 }
 
-/// A csd-bench-v1 report without its env object (wall clock, jobs,
-/// workers, git sha), re-serialized.
-std::string report_without_env(const std::string& text) {
-  const obs::Json doc = obs::Json::parse(text);
-  obs::Json kept = obs::Json::object();
-  for (const auto& [key, value] : doc.members())
-    if (key != "env") kept.set(key, value);
-  return kept.dump();
-}
+using golden::read_file;
+using golden::report_without_env;
+using golden::size_and_digest;
 
 TEST(SyncGolden, CliOutputsReproduceAtEveryWorkersAndJobs) {
   struct Case {

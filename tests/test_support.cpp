@@ -29,6 +29,28 @@ TEST(Check, ThrowsWithMessage) {
   }
 }
 
+TEST(Check, MessageNamesTheFileBelowTheSourceRoot) {
+  // A CHECK message must read the same from every checkout and build tree,
+  // so it names its file relative to the source root, never absolutely.
+  const auto message_of = [](auto&& failing) {
+    try {
+      failing();
+    } catch (const CheckFailure& e) {
+      return std::string(e.what());
+    }
+    return std::string("no CheckFailure");
+  };
+  const std::string library = message_of([] {
+    BitVec v;
+    v.append_bits(0, 65);
+  });
+  EXPECT_NE(library.find(" at src/support/bitvec.hpp:"), std::string::npos)
+      << library;
+  const std::string here = message_of([] { CSD_CHECK(1 == 2); });
+  EXPECT_NE(here.find(" at tests/test_support.cpp:"), std::string::npos)
+      << here;
+}
+
 // ------------------------------------------------------------------ rng --
 TEST(Rng, DeterministicForSeed) {
   Rng a(123), b(123);
